@@ -10,8 +10,14 @@
 file(MAKE_DIRECTORY ${WORK_DIR})
 set(OUT_JSON ${WORK_DIR}/BENCH_${NAME}.json)
 file(REMOVE ${OUT_JSON})
+# Synthesize cold on every run: a program store left by an earlier run
+# would rehydrate the programs and drop the exact-gated synth.* metrics.
+# Trained victims stay cached.
+set(CACHE_DIR ${WORK_DIR}/.oppsla-cache)
+file(REMOVE_RECURSE ${CACHE_DIR}/programs)
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env OPPSLA_BENCH_SCALE=smoke
+    OPPSLA_CACHE_DIR=${CACHE_DIR}
     ${BENCH} --json-out ${OUT_JSON}
   WORKING_DIRECTORY ${WORK_DIR}
   OUTPUT_VARIABLE OUT

@@ -54,11 +54,11 @@ int main(int argc, char **argv) {
       Test, Scale.EvalQueryCap, Threads);
   const double FixedAvg = toQuerySample(FixedLogs).avgQueries();
 
-  // Synthesis with a full trace, on the island path (DESIGN.md §15): with
-  // --synth-islands N > 1 the trace records the elite trajectory, one
-  // step per exchange round, and an "accept" means the global best
-  // improved. The default exchange cadence is short enough to fire even
-  // within the smoke iteration budget.
+  // Synthesis with a full trace (DESIGN.md §15): the trace records the
+  // elite trajectory, one step per round (per exchange round with
+  // --synth-islands N > 1, per iteration with one island), and an
+  // "accept" means the global best improved. The default exchange cadence
+  // is short enough to fire even within the smoke iteration budget.
   SynthesisConfig Config;
   Config.MaxIter = Scale.SynthIters;
   Config.PerImageQueryCap = Scale.SynthQueryCap;

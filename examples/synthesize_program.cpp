@@ -48,9 +48,12 @@ int main(int argc, char **argv) {
   std::vector<SynthesisStep> Trace;
   const Program P = synthesizeProgram(*Victim, Train, Config, &Trace);
 
+  // The trace follows the best program so far; the chain's own
+  // accept/reject decisions are the `synth_iter` events that
+  // `oppsla synthesize --trace-out` writes.
   std::cout << "Synthesis trace (" << Train.size() << " training images, "
             << Iters << " iterations):\n";
-  Table T({"iter", "accepted", "train avg #q", "cumulative synth #q"});
+  Table T({"iter", "new best", "best train avg #q", "cumulative synth #q"});
   for (const SynthesisStep &Step : Trace)
     T.addRow({std::to_string(Step.Iteration), Step.Accepted ? "yes" : "no",
               Table::fmt(Step.AvgQueries, 1),

@@ -39,8 +39,8 @@ struct ImageOutcome {
 };
 
 /// Per-worker evaluation state reused across many evaluateProgram calls:
-/// the MH loop scores MaxIter+1 candidates, so the pool and the classifier
-/// clones are built once per synthesis, not once per candidate. An empty
+/// an MH chain scores MaxIter+1 candidates, so the pool and the classifier
+/// clones are built once per chain, not once per candidate. An empty
 /// Workers list (or a 1-element one) means serial evaluation.
 struct EvalWorkers {
   std::unique_ptr<ThreadPool> Pool;
@@ -130,19 +130,21 @@ ProgramEval evaluateProgramWith(const Program &P, Classifier &N,
   return Eval;
 }
 
-/// Stream-id tag for island Rng derivation: island i of a synthesis seeded
-/// S draws from SplitMix64 stream (S, IslandStreamTag + i), so the streams
-/// are decorrelated from each other and from every other derived stream
-/// (serve shard seeds, dataset seeds) without any shared draw order.
+/// Stream-id tag for island Rng derivation: with N > 1 islands, island i
+/// of a synthesis seeded S draws from SplitMix64 stream
+/// (S, IslandStreamTag + i), so the streams are decorrelated from each
+/// other and from every other derived stream (serve shard seeds, dataset
+/// seeds) without any shared draw order.
 constexpr uint64_t IslandStreamTag = 0x49534c44; // "ISLD"
 
-/// One MH chain of the island model. Everything an island touches is
-/// island-private (Rng, classifier, chain state), so rounds can run on any
+/// One MH chain ("island"). Everything an island touches is island-private
+/// (Rng, classifier, scorers, chain state), so rounds can run on any
 /// thread — or all on one — with bit-identical results.
 struct IslandState {
   size_t Index = 0;
   Rng R{1};
   Classifier *Cls = nullptr;
+  EvalWorkers Workers;     ///< candidate scorers over Cls and its clones
   Program P;               ///< current chain state
   ProgramEval Eval;
   double Score = 0.0;
@@ -152,8 +154,7 @@ struct IslandState {
   uint64_t Cumulative = 0; ///< queries posed by this island
 };
 
-/// Runs \p Iters MH iterations on island \p S (serial candidate scoring;
-/// the parallelism budget is spent across islands, not within one).
+/// Runs \p Iters MH iterations on island \p S.
 void runIslandRound(IslandState &S, const MutationContext &Ctx,
                     const SynthesisConfig &Config, size_t StartIter,
                     size_t Iters, const Dataset &TrainSet,
@@ -170,9 +171,11 @@ void runIslandRound(IslandState &S, const MutationContext &Ctx,
       Candidate = mutateProgram(S.P, Ctx, S.R, &Kind);
     }
     const ProgramEval CandEval = evaluateProgramWith(
-        Candidate, *S.Cls, TrainSet, Config.PerImageQueryCap, nullptr);
+        Candidate, *S.Cls, TrainSet, Config.PerImageQueryCap, &S.Workers);
     const double CandScore = CandEval.score(Config.Beta);
     S.Cumulative += CandEval.TotalQueries;
+    // MH acceptance: u < S(P')/S(P). A zero-score incumbent accepts any
+    // scoring candidate.
     bool Accept;
     if (S.Score <= 0.0)
       Accept = CandScore > 0.0;
@@ -206,17 +209,26 @@ void runIslandRound(IslandState &S, const MutationContext &Ctx,
   }
 }
 
-/// The island-model synthesizer (Islands > 1): N independent MH chains,
-/// each on its own Rng stream and classifier clone, with deterministic
-/// ring migration of elites every ExchangeInterval iterations. The result
-/// is a pure function of (Seed, Islands, ExchangeInterval) — the thread
-/// count only changes wall-clock time, never a byte of the program.
-Program synthesizeIslands(Classifier &N, const Dataset &TrainSet,
-                          const SynthesisConfig &Config,
-                          std::vector<SynthesisStep> *Trace,
-                          std::vector<IslandElite> *Elites) {
-  const size_t NumIslands = Config.Islands;
-  const size_t Interval = std::max<size_t>(1, Config.ExchangeInterval);
+} // namespace
+
+ProgramEval oppsla::evaluateProgram(const Program &P, Classifier &N,
+                                    const Dataset &TrainSet,
+                                    uint64_t PerImageCap, size_t Threads) {
+  if (Threads < 2)
+    return evaluateProgramWith(P, N, TrainSet, PerImageCap, nullptr);
+  EvalWorkers Workers = EvalWorkers::make(N, Threads, TrainSet.size());
+  return evaluateProgramWith(P, N, TrainSet, PerImageCap, &Workers);
+}
+
+Program oppsla::synthesizeProgram(Classifier &N, const Dataset &TrainSet,
+                                  const SynthesisConfig &Config,
+                                  std::vector<SynthesisStep> *Trace,
+                                  std::vector<IslandElite> *Elites) {
+  const size_t NumIslands = std::max<size_t>(1, Config.Islands);
+  // A lone island never exchanges, so its rounds are single iterations and
+  // its trace keeps one step per iteration.
+  const size_t Interval =
+      NumIslands == 1 ? 1 : std::max<size_t>(1, Config.ExchangeInterval);
   MutationContext Ctx;
   Ctx.ImageSide =
       TrainSet.size() > 0 ? TrainSet.Images.front().height() : 32;
@@ -252,8 +264,17 @@ Program synthesizeIslands(Classifier &N, const Dataset &TrainSet,
   for (size_t I = 0; I != NumIslands; ++I) {
     IslandState &S = Islands[I];
     S.Index = I;
-    S.R = Rng(Rng::deriveRunSeed(Config.Seed, IslandStreamTag + I));
+    // A lone island draws from Rng(Seed) itself, the paper's single chain.
+    // N > 1 keeps derived streams for every island: moving island 0 onto
+    // Rng(Seed) would change their programs under unchanged store keys.
+    S.R = NumIslands == 1
+              ? Rng(Config.Seed)
+              : Rng(Rng::deriveRunSeed(Config.Seed, IslandStreamTag + I));
     S.Cls = (I == 0 || !Cloneable) ? &N : Owned[I - 1].get();
+    // Threads / N scorers per island: a lone island scores each candidate
+    // in parallel, N > 1 islands score serially until Threads >= 2N.
+    S.Workers = EvalWorkers::make(*S.Cls, Config.Threads / NumIslands,
+                                  TrainSet.size());
   }
 
   const size_t PoolThreads =
@@ -290,7 +311,7 @@ Program synthesizeIslands(Classifier &N, const Dataset &TrainSet,
     telemetry::ProfileScope Span("synth.island");
     S.P = randomProgram(Ctx, S.R);
     S.Eval = evaluateProgramWith(S.P, *S.Cls, TrainSet,
-                                 Config.PerImageQueryCap, nullptr);
+                                 Config.PerImageQueryCap, &S.Workers);
     S.Score = S.Eval.score(Config.Beta);
     S.Cumulative = S.Eval.TotalQueries;
     S.Best = S.P;
@@ -328,7 +349,7 @@ Program synthesizeIslands(Classifier &N, const Dataset &TrainSet,
                            {"exchange_interval", Interval},
                            {"init_avg_queries", GlobalBest().BestEval.AvgQueries},
                            {"init_queries", TotalQueries()}});
-  logDebug() << "island synthesis init: islands=" << NumIslands
+  logDebug() << "synthesis init: islands=" << NumIslands
              << " interval=" << Interval
              << " bestAvgQ=" << GlobalBest().BestEval.AvgQueries;
 
@@ -406,145 +427,11 @@ Program synthesizeIslands(Classifier &N, const Dataset &TrainSet,
                            {"attacks", B.BestEval.Attacks},
                            {"islands", NumIslands},
                            {"cum_queries", TotalQueries()}});
-  logInfo() << "island synthesis done: islands=" << NumIslands
+  logInfo() << "synthesis done: islands=" << NumIslands
             << " bestAvgQ=" << B.BestEval.AvgQueries << " over "
             << B.BestEval.Successes << "/" << B.BestEval.Attacks
             << " train images, total synthesis queries=" << TotalQueries();
   if (B.BestScore <= 0.0) {
-    logWarn() << "island synthesis saw no successful training attack; "
-                 "returning the fixed-prioritization program";
-    return allFalseProgram();
-  }
-  return B.Best;
-}
-
-} // namespace
-
-ProgramEval oppsla::evaluateProgram(const Program &P, Classifier &N,
-                                    const Dataset &TrainSet,
-                                    uint64_t PerImageCap, size_t Threads) {
-  if (Threads < 2)
-    return evaluateProgramWith(P, N, TrainSet, PerImageCap, nullptr);
-  EvalWorkers Workers = EvalWorkers::make(N, Threads, TrainSet.size());
-  return evaluateProgramWith(P, N, TrainSet, PerImageCap, &Workers);
-}
-
-Program oppsla::synthesizeProgram(Classifier &N, const Dataset &TrainSet,
-                                  const SynthesisConfig &Config,
-                                  std::vector<SynthesisStep> *Trace,
-                                  std::vector<IslandElite> *Elites) {
-  if (Config.Islands > 1)
-    return synthesizeIslands(N, TrainSet, Config, Trace, Elites);
-  Rng R(Config.Seed);
-  MutationContext Ctx;
-  Ctx.ImageSide =
-      TrainSet.size() > 0 ? TrainSet.Images.front().height() : 32;
-
-  // One pool + one set of classifier clones for the whole MH chain.
-  EvalWorkers Workers = EvalWorkers::make(N, Config.Threads, TrainSet.size());
-
-  Program P = randomProgram(Ctx, R);
-  ProgramEval Eval = evaluateProgramWith(P, N, TrainSet,
-                                         Config.PerImageQueryCap, &Workers);
-  double Score = Eval.score(Config.Beta);
-  uint64_t Cumulative = Eval.TotalQueries;
-  Program Best = P;
-  ProgramEval BestEval = Eval;
-  double BestScore = Score;
-  if (Trace)
-    Trace->push_back(
-        SynthesisStep{0, true, P, Eval.AvgQueries, Cumulative});
-  if (telemetry::traceEnabled())
-    telemetry::traceEvent("synth_begin",
-                          {{"max_iter", Config.MaxIter},
-                           {"beta", Config.Beta},
-                           {"train_images", TrainSet.size()},
-                           {"init_avg_queries", Eval.AvgQueries},
-                           {"init_queries", Eval.TotalQueries}});
-  logDebug() << "synthesis init: avgQ=" << Eval.AvgQueries
-             << " successes=" << Eval.Successes << "/" << Eval.Attacks;
-
-  // Per-run MH accounting for the metrics snapshot.
-  static telemetry::Counter &IterCounter =
-      telemetry::counter("synth.iterations");
-  static telemetry::Counter &AcceptCounter =
-      telemetry::counter("synth.accepts");
-  static telemetry::Counter &SynthQueries =
-      telemetry::counter("synth.queries");
-  SynthQueries.inc(Eval.TotalQueries);
-
-  telemetry::progressBegin("synth", Config.MaxIter);
-  for (size_t Iter = 1; Iter <= Config.MaxIter; ++Iter) {
-    MutationKind Kind = MutationKind::Root;
-    Program Candidate;
-    {
-      telemetry::ProfileScope ProposeSpan("synth.propose");
-      Candidate = mutateProgram(P, Ctx, R, &Kind);
-    }
-    const ProgramEval CandEval = evaluateProgramWith(
-        Candidate, N, TrainSet, Config.PerImageQueryCap, &Workers);
-    const double CandScore = CandEval.score(Config.Beta);
-    Cumulative += CandEval.TotalQueries;
-
-    // MH acceptance: u < S(P')/S(P). A zero-score incumbent accepts any
-    // scoring candidate.
-    telemetry::ProfileScope AcceptSpan("synth.accept");
-    bool Accept;
-    if (Score <= 0.0)
-      Accept = CandScore > 0.0;
-    else
-      Accept = R.uniform() < CandScore / Score;
-    if (Accept) {
-      P = Candidate;
-      Eval = CandEval;
-      Score = CandScore;
-    }
-    if (CandScore > BestScore) {
-      Best = Candidate;
-      BestEval = CandEval;
-      BestScore = CandScore;
-    }
-    if (Trace)
-      Trace->push_back(
-          SynthesisStep{Iter, Accept, P, Eval.AvgQueries, Cumulative});
-    IterCounter.inc();
-    if (Accept)
-      AcceptCounter.inc();
-    SynthQueries.inc(CandEval.TotalQueries);
-    if (telemetry::traceEnabled())
-      telemetry::traceEvent("synth_iter",
-                            {{"iter", Iter},
-                             {"proposal", mutationKindName(Kind)},
-                             {"accepted", Accept},
-                             {"cand_score", CandScore},
-                             {"cand_avg_queries", CandEval.AvgQueries},
-                             {"cand_successes", CandEval.Successes},
-                             {"cur_avg_queries", Eval.AvgQueries},
-                             {"cum_queries", Cumulative}});
-    logDebug() << "synthesis iter " << Iter << ": candAvgQ="
-               << CandEval.AvgQueries << (Accept ? " accepted" : " rejected")
-               << " curAvgQ=" << Eval.AvgQueries;
-    telemetry::progressSet(Iter,
-                Eval.Attacks ? static_cast<double>(Eval.Successes) /
-                                   static_cast<double>(Eval.Attacks)
-                             : 0.0,
-                Eval.AvgQueries);
-  }
-  telemetry::progressFinish();
-  if (telemetry::traceEnabled())
-    telemetry::traceEvent("synth_end",
-                          {{"avg_queries", Eval.AvgQueries},
-                           {"successes", Eval.Successes},
-                           {"attacks", Eval.Attacks},
-                           {"cum_queries", Cumulative}});
-  logInfo() << "synthesis done: avgQ=" << Eval.AvgQueries << " over "
-            << Eval.Successes << "/" << Eval.Attacks
-            << " train images, total synthesis queries=" << Cumulative;
-  if (Elites) {
-    Elites->clear();
-    Elites->push_back(IslandElite{Best, BestEval, BestScore});
-  }
-  if (Config.ReturnBestSeen && BestScore <= 0.0) {
     // No candidate ever succeeded on the training set (e.g. a robust
     // class under a tight cap): the scores carry no signal, so prefer the
     // deterministic fixed prioritization over an arbitrary random program.
@@ -552,7 +439,7 @@ Program oppsla::synthesizeProgram(Classifier &N, const Dataset &TrainSet,
                  "the fixed-prioritization program";
     return allFalseProgram();
   }
-  return Config.ReturnBestSeen ? Best : P;
+  return B.Best;
 }
 
 Program oppsla::randomSearchProgram(Classifier &N, const Dataset &TrainSet,

@@ -13,8 +13,9 @@
 ///   S(P) = exp(-beta * avgQueries(P))
 ///
 /// A mutated candidate P' replaces P with probability min(1, S(P')/S(P)).
-/// The synthesizer optionally records a trace of accepted programs with
-/// cumulative query counts — the raw series behind the paper's Figure 4.
+/// The synthesizer optionally records a trace of the best program so far
+/// with cumulative query counts — the raw series behind the paper's
+/// Figure 4.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,32 +35,20 @@ struct SynthesisConfig {
   double Beta = 0.02;      ///< score sharpness in exp(-beta * avgQ)
   uint64_t PerImageQueryCap = 4096; ///< cap per training image (DESIGN §5.3)
   uint64_t Seed = 1;       ///< RNG seed for init + proposals + acceptance
-  /// Return the best-scoring program seen rather than the last accepted
-  /// one (the Metropolis chain is an explorer, not an estimator; stochastic
-  /// superoptimizers such as STOKE make the same choice). Disable to match
-  /// Algorithm 2 verbatim.
-  bool ReturnBestSeen = true;
-  /// Worker threads for scoring each candidate over the training set.
-  /// Candidate scoring dominates synthesis cost (MaxIter evaluations of
-  /// the full training set); the MH chain itself stays serial, and the
-  /// per-image results are reduced in index order, so any thread count
-  /// produces bit-identical programs. Requires a cloneable classifier;
-  /// falls back to serial otherwise.
-  ///
-  /// With Islands > 1 the same budget buys island-parallelism instead:
-  /// up to min(Threads, Islands) chains run concurrently, each scoring
-  /// its candidates serially on its own classifier clone.
+  /// Worker threads. Candidate scoring dominates synthesis cost (MaxIter
+  /// evaluations of the full training set), so each of the N islands
+  /// scores its candidates on Threads / N workers over classifier clones,
+  /// and up to min(Threads, N) islands run concurrently. The MH chains
+  /// themselves stay serial and per-image results are reduced in index
+  /// order, so any thread count produces bit-identical programs. Requires
+  /// a cloneable classifier; falls back to serial otherwise.
   size_t Threads = 1;
-  /// Number of independent MH chains ("islands") run for this synthesis.
-  /// Each island derives its own Rng stream from (Seed, island) via
-  /// SplitMix64 splitting, runs MaxIter iterations, and every
-  /// ExchangeInterval iterations the islands exchange elites on a ring in
-  /// deterministic index order — so the result is a pure function of
-  /// (Seed, Islands, ExchangeInterval) at ANY thread count. Islands == 1
-  /// is the paper's single chain, bit-identical to every earlier release.
-  /// Islands > 1 always returns the best elite seen across islands
-  /// (ReturnBestSeen semantics; the migration topology has no single
-  /// "last accepted" state).
+  /// Number of independent MH chains ("islands"), N = max(1, Islands).
+  /// A single island is the paper's chain on Rng(Seed). With N > 1 island
+  /// i derives its own Rng stream from (Seed, i) via SplitMix64 splitting,
+  /// and every ExchangeInterval iterations the islands exchange elites on
+  /// a ring in deterministic index order — so the result is a pure
+  /// function of (Seed, Islands, ExchangeInterval) at ANY thread count.
   size_t Islands = 1;
   /// Island iterations between elite exchanges (ignored for Islands <= 1).
   size_t ExchangeInterval = 25;
@@ -77,22 +66,24 @@ struct ProgramEval {
   double score(double Beta) const;
 };
 
-/// One entry of the synthesis trace: the state after an iteration. With
-/// Islands > 1 the trace is the *elite trajectory* instead: entry 0 is the
-/// best initial program across islands, then one entry per exchange round
-/// holding the global best elite, with Iteration counting per-island
-/// iterations and CumulativeQueries summed over all islands.
+/// One entry of the synthesis trace, which follows the *elite trajectory*:
+/// entry 0 is the best initial program across islands, then one entry per
+/// round (one iteration for a single island, ExchangeInterval iterations
+/// otherwise) holding the global best program so far. Iteration counts
+/// per-island iterations and CumulativeQueries sums over all islands. The
+/// chains' own per-iteration accept/reject decisions are the `synth_iter`
+/// trace events.
 struct SynthesisStep {
-  size_t Iteration = 0;            ///< 0 = the initial random program
-  bool Accepted = false;           ///< proposal accepted this iteration
-  Program Current;                 ///< program held after the iteration
+  size_t Iteration = 0;            ///< 0 = the initial random programs
+  bool Accepted = false;           ///< the global best improved this round
+  Program Current;                 ///< best program seen so far
   double AvgQueries = 0.0;         ///< its training-set average queries
   uint64_t CumulativeQueries = 0;  ///< synthesis queries posed so far
 };
 
-/// The best program one island (or the single legacy chain) ever scored,
-/// with the training-set statistics behind its score — what the program
-/// store persists for attack-time portfolio selection.
+/// The best program one island ever scored, with the training-set
+/// statistics behind its score — what the program store persists for
+/// attack-time portfolio selection.
 struct IslandElite {
   Program P;
   ProgramEval Eval;   ///< training-set stats of P
@@ -109,10 +100,12 @@ ProgramEval evaluateProgram(const Program &P, Classifier &N,
                             size_t Threads = 1);
 
 /// OPPSLA: synthesizes a program for classifier \p N and training set
-/// \p TrainSet. If \p Trace is non-null every iteration is recorded
-/// (every exchange round for Islands > 1). If \p Elites is non-null it
-/// receives each island's best-seen program and stats (a single entry for
-/// Islands <= 1) — the raw material the program store persists.
+/// \p TrainSet with N = max(1, Config.Islands) MH chains. Returns the
+/// best-scoring program any chain saw (the chains explore, they do not
+/// estimate), or the fixed prioritization when no candidate ever
+/// succeeded. If \p Trace is non-null every round is recorded. If
+/// \p Elites is non-null it receives each island's best-seen program and
+/// stats — the raw material the program store persists.
 Program synthesizeProgram(Classifier &N, const Dataset &TrainSet,
                           const SynthesisConfig &Config,
                           std::vector<SynthesisStep> *Trace = nullptr,

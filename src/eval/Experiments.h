@@ -59,9 +59,10 @@ Dataset makeSynthesisSet(TaskKind Task, size_t Label,
 /// policy. Shared by the CLI commands, the benches, and the serve job
 /// runner so they all spell the same knobs the same way.
 struct SynthesisRunOptions {
-  /// Worker threads (within-candidate scoring for Islands <= 1, across
-  /// islands otherwise). Never part of any cache key: the synthesized
-  /// programs are bit-identical at any thread count.
+  /// Worker threads, split as SynthesisConfig::Threads describes (across
+  /// islands, then Threads / Islands scorers per island). Never part of
+  /// any cache key: the synthesized programs are bit-identical at any
+  /// thread count.
   size_t Threads = 1;
   size_t Islands = 1;          ///< SynthesisConfig::Islands
   size_t ExchangeInterval = 25; ///< SynthesisConfig::ExchangeInterval

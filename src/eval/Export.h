@@ -40,8 +40,9 @@ bool exportSuccessCurveCsv(const std::vector<AttackRunLog> &Logs,
 bool exportRunLogsJsonl(const std::vector<AttackRunLog> &Logs,
                         const std::string &Path);
 
-/// Writes one JSON object per synthesis iteration (the raw series behind
-/// Figure 4): {"iter":i,"accepted":b,"avg_queries":a,"cum_queries":q,
+/// Writes one JSON object per synthesis trace step, i.e. per round of the
+/// elite trajectory (the raw series behind Figure 4):
+/// {"iter":i,"accepted":b,"avg_queries":a,"cum_queries":q,
 /// "program":"..."}. \returns true on success.
 bool exportSynthesisTraceJsonl(const std::vector<SynthesisStep> &Steps,
                                const std::string &Path);

@@ -12,6 +12,7 @@
 #include "wire/Wire.h"
 
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -121,6 +122,16 @@ oppsla::selectFromPortfolio(const std::vector<StoredProgram> &Portfolio) {
 // Store
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// True for a JSON number that is a whole, non-negative count small enough
+/// to be exact in a double (and hence in a size_t).
+bool isCount(double X) {
+  return std::isfinite(X) && X >= 0.0 && X <= 0x1p53 && X == std::floor(X);
+}
+
+} // namespace
+
 ProgramStore::ProgramStore(std::string R) : Root(std::move(R)) {
   if (Root.empty())
     Root = defaultRoot();
@@ -188,9 +199,15 @@ bool ProgramStore::load(const ProgramStoreKey &K,
     if (!programFromStoreText(Contents.Programs[I], S.P))
       return Miss("unparseable program", /*Log=*/true);
     const json::Value &V = Stats->array()[I];
+    // The counts steer portfolio selection, so anything save() could not
+    // have written is a miss, never a wrapped-around size_t.
+    const double Successes = V.getNumber("successes");
+    const double Attacks = V.getNumber("attacks");
+    if (!isCount(Successes) || !isCount(Attacks) || Successes > Attacks)
+      return Miss("invalid program stats", /*Log=*/true);
     S.AvgQueries = V.getNumber("avg_queries");
-    S.Successes = static_cast<size_t>(V.getNumber("successes"));
-    S.Attacks = static_cast<size_t>(V.getNumber("attacks"));
+    S.Successes = static_cast<size_t>(Successes);
+    S.Attacks = static_cast<size_t>(Attacks);
     Out.push_back(std::move(S));
   }
   Portfolio = std::move(Out);

@@ -96,7 +96,8 @@ public:
 
   /// Loads and verifies the entry for \p K. Returns true and fills
   /// \p Portfolio (entry 0 first) on a hit; false on a miss, a key
-  /// mismatch, or any corruption — callers fall back to synthesis.
+  /// mismatch, stats save() cannot write, or any corruption — callers
+  /// fall back to synthesis.
   /// Bumps the synth.store.{hits,misses} counters.
   bool load(const ProgramStoreKey &K,
             std::vector<StoredProgram> &Portfolio) const;

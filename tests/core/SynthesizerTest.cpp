@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Synthesizer.h"
+#include "eval/ProgramStore.h"
 
 #include "../TestUtil.h"
 
@@ -163,9 +164,9 @@ bool samePrograms(const Program &A, const Program &B) {
 
 TEST(IslandSynthesis, DeterministicAcrossThreadCounts) {
   // The island result is a pure function of (Seed, Islands,
-  // ExchangeInterval): islands evaluate serially on their own clone and
-  // exchanges consume no randomness, so the thread count can never leak
-  // into a program byte.
+  // ExchangeInterval): islands score on their own clones, per-image
+  // results reduce in index order and exchanges consume no randomness, so
+  // the thread count can never leak into a program byte.
   const Dataset Train = tinyTrainSet(3, 4);
   SynthesisConfig Config;
   Config.MaxIter = 10;
@@ -175,22 +176,26 @@ TEST(IslandSynthesis, DeterministicAcrossThreadCounts) {
   Config.ExchangeInterval = 3;
 
   FakeClassifier N1 = offCenterVulnerable(2, 1);
-  Config.Threads = 4;
+  Config.Threads = 1;
   std::vector<IslandElite> E1;
   const Program A = synthesizeProgram(N1, Train, Config, nullptr, &E1);
-
-  FakeClassifier N2 = offCenterVulnerable(2, 1);
-  Config.Threads = 1;
-  std::vector<IslandElite> E2;
-  const Program B = synthesizeProgram(N2, Train, Config, nullptr, &E2);
-
-  EXPECT_TRUE(samePrograms(A, B));
   ASSERT_EQ(E1.size(), 4u);
-  ASSERT_EQ(E2.size(), 4u);
-  for (size_t I = 0; I != 4; ++I) {
-    EXPECT_TRUE(samePrograms(E1[I].P, E2[I].P)) << "island " << I;
-    EXPECT_DOUBLE_EQ(E1[I].Score, E2[I].Score) << "island " << I;
-    EXPECT_DOUBLE_EQ(E1[I].Eval.AvgQueries, E2[I].Eval.AvgQueries);
+
+  // 4 threads run the islands concurrently; 8 also give each island two
+  // candidate scorers.
+  for (size_t Threads : {4, 8}) {
+    FakeClassifier N2 = offCenterVulnerable(2, 1);
+    Config.Threads = Threads;
+    std::vector<IslandElite> E2;
+    const Program B = synthesizeProgram(N2, Train, Config, nullptr, &E2);
+
+    EXPECT_TRUE(samePrograms(A, B)) << Threads << " threads";
+    ASSERT_EQ(E2.size(), 4u);
+    for (size_t I = 0; I != 4; ++I) {
+      EXPECT_TRUE(samePrograms(E1[I].P, E2[I].P)) << "island " << I;
+      EXPECT_DOUBLE_EQ(E1[I].Score, E2[I].Score) << "island " << I;
+      EXPECT_DOUBLE_EQ(E1[I].Eval.AvgQueries, E2[I].Eval.AvgQueries);
+    }
   }
 }
 
@@ -261,7 +266,7 @@ TEST(IslandSynthesis, SingleIslandKeepsLegacyChain) {
   Legacy.Seed = 29;
   SynthesisConfig OneIsland = Legacy;
   OneIsland.Islands = 1;
-  OneIsland.ExchangeInterval = 2; // ignored on the legacy chain
+  OneIsland.ExchangeInterval = 2; // a single island never exchanges
 
   FakeClassifier N1 = offCenterVulnerable(3, 0);
   std::vector<SynthesisStep> T1;
@@ -276,6 +281,40 @@ TEST(IslandSynthesis, SingleIslandKeepsLegacyChain) {
   for (size_t I = 0; I != T1.size(); ++I) {
     EXPECT_EQ(T1[I].Accepted, T2[I].Accepted);
     EXPECT_EQ(T1[I].CumulativeQueries, T2[I].CumulativeQueries);
+  }
+
+  // Recorded from the single-chain synthesizer the island loop replaced,
+  // which scored candidates in parallel at Threads > 1: the program (in
+  // the store's exact text form), its elite stats and the cumulative
+  // queries of every step. Islands = 0 means one island.
+  const std::string Expected = "3 0 1 -0.11941676050590744\n"
+                               "1 1 1 0.18073791803479344\n"
+                               "1 1 1 0.020724403452560214\n"
+                               "1 0 1 0.57993312678216713\n";
+  const uint64_t Cumulative[] = {103, 206, 308, 339, 370, 401, 432};
+  const std::pair<size_t, size_t> IslandsThreads[] = {{1, 1}, {1, 4}, {0, 1}};
+  for (const auto &[Islands, Threads] : IslandsThreads) {
+    SCOPED_TRACE(testing::Message() << "islands=" << Islands
+                                    << " threads=" << Threads);
+    SynthesisConfig Config = OneIsland;
+    Config.Islands = Islands;
+    Config.Threads = Threads;
+    FakeClassifier N = offCenterVulnerable(3, 0);
+    std::vector<SynthesisStep> T;
+    std::vector<IslandElite> E;
+    const Program P = synthesizeProgram(N, Train, Config, &T, &E);
+
+    EXPECT_EQ(programToStoreText(P), Expected);
+    ASSERT_EQ(E.size(), 1u);
+    EXPECT_EQ(programToStoreText(E[0].P), Expected);
+    EXPECT_EQ(E[0].Eval.AvgQueries, 15.5);
+    EXPECT_EQ(E[0].Eval.Successes, 2u);
+    EXPECT_EQ(E[0].Eval.Attacks, 2u);
+    EXPECT_EQ(E[0].Eval.TotalQueries, 31u);
+    EXPECT_DOUBLE_EQ(E[0].Score, 0.73344695622428924);
+    ASSERT_EQ(T.size(), 7u);
+    for (size_t I = 0; I != T.size(); ++I)
+      EXPECT_EQ(T[I].CumulativeQueries, Cumulative[I]) << "step " << I;
   }
 }
 

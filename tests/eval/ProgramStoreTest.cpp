@@ -6,6 +6,9 @@
 
 #include "eval/ProgramStore.h"
 
+#include "support/Json.h"
+#include "wire/Wire.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -92,7 +95,7 @@ TEST(ProgramStoreKey, CanonicalCoversEveryField) {
 
 TEST(ProgramStoreKey, ExchangeIntervalIrrelevantWithoutIslands) {
   // Islands <= 1 never exchanges, so the interval must not fragment the
-  // key space for the legacy chain.
+  // key space for a single chain.
   ProgramStoreKey A = testKey();
   A.Islands = 1;
   A.ExchangeInterval = 25;
@@ -201,4 +204,41 @@ TEST_F(ProgramStoreTest, KeyCollisionDegradesToMiss) {
   std::vector<StoredProgram> Loaded;
   EXPECT_FALSE(Store.load(K2, Loaded));
   EXPECT_TRUE(Store.load(K1, Loaded)) << "the honest entry still hits";
+}
+
+TEST_F(ProgramStoreTest, InvalidCountsDegradeToMiss) {
+  // Entries with valid CRCs and key but counts save() can never write.
+  // Cast blindly to size_t, "successes":-1 would load as 2^64-1 and steer
+  // portfolio selection; the store must answer "miss" instead.
+  ProgramStore Store(Root);
+  const ProgramStoreKey K = testKey();
+  std::filesystem::create_directories(Root);
+  auto WriteEntry = [&](const std::string &Successes,
+                        const std::string &Attacks) {
+    std::string Meta = "{\"store_key\":\"";
+    json::escape(Meta, K.canonical());
+    Meta += "\",\"programs\":[{\"avg_queries\":12.5,\"successes\":" +
+            Successes + ",\"attacks\":" + Attacks + "}]}";
+    wire::WireBuilder Builder;
+    Builder.addJobSpecJson(Meta);
+    Builder.addProgram(programToStoreText(testProgram(0.1)));
+    std::string Error;
+    ASSERT_TRUE(
+        wire::writeFileAtomic(Store.entryPath(K), Builder.finish(), Error))
+        << Error;
+  };
+
+  std::vector<StoredProgram> Loaded;
+  WriteEntry("3", "4");
+  ASSERT_TRUE(Store.load(K, Loaded)) << "the well-formed entry hits";
+  EXPECT_EQ(Loaded[0].Successes, 3u);
+
+  const std::pair<const char *, const char *> Bad[] = {
+      {"-1", "4"},    {"3", "-4"},    {"1.5", "4"}, {"3", "4.25"},
+      {"1e999", "4"}, {"3", "1e999"}, {"5", "4"}};
+  for (const auto &[Successes, Attacks] : Bad) {
+    WriteEntry(Successes, Attacks);
+    EXPECT_FALSE(Store.load(K, Loaded))
+        << "successes=" << Successes << " attacks=" << Attacks;
+  }
 }
