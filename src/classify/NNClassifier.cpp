@@ -6,7 +6,12 @@
 
 #include "classify/NNClassifier.h"
 
+#include "support/Metrics.h"
+#include "tensor/Gemm.h"
 #include "tensor/TensorOps.h"
+
+#include <cstring>
+#include <numeric>
 
 using namespace oppsla;
 
@@ -49,46 +54,115 @@ std::unique_ptr<Classifier> NNClassifier::clone() const {
   return Out;
 }
 
-std::vector<std::vector<float>> NNClassifier::scoresBatch(
-    std::span<const Image> Imgs) {
-  if (Imgs.empty())
-    return {};
-  // The batch-1 path keeps its dedicated scratch so interleaved single
-  // queries never reshape the batch buffer (and vice versa).
-  if (Imgs.size() == 1)
-    return {scores(Imgs[0])};
+namespace {
 
-  const size_t N = Imgs.size();
-  const size_t H = Imgs[0].height(), W = Imgs[0].width();
-  if (BatchInputScratch.rank() != 4 || BatchInputScratch.dim(0) != N ||
-      BatchInputScratch.dim(2) != H || BatchInputScratch.dim(3) != W)
-    BatchInputScratch = Tensor({N, 3, H, W});
+telemetry::Counter &deltaImagesCounter() {
+  static telemetry::Counter &C =
+      telemetry::counter("nn.forward.delta_images");
+  return C;
+}
+
+telemetry::Counter &fullImagesCounter() {
+  static telemetry::Counter &C = telemetry::counter("nn.forward.full_images");
+  return C;
+}
+
+/// Sorts Imgs[I] for I in \p Idx by their distance to \p Ref: an image of
+/// Ref's shape with at most NNClassifier::MaxDeltaPixels pixels whose bytes
+/// differ goes to \p Near, with the window bounding those pixels appended
+/// to \p Windows; any other image goes to \p Far.
+void partition(std::span<const Image> Imgs, std::span<const size_t> Idx,
+               const Image &Ref, std::vector<size_t> &Near,
+               std::vector<DeltaWindow> &Windows, std::vector<size_t> &Far) {
+  for (size_t I : Idx) {
+    const Image &Img = Imgs[I];
+    bool Close = !Ref.empty() && Img.height() == Ref.height() &&
+                 Img.width() == Ref.width();
+    DeltaWindow Win;
+    size_t Changed = 0;
+    const float *A = Img.raw().data(), *B = Ref.raw().data();
+    for (size_t P = 0; Close && P != Img.numPixels(); ++P) {
+      if (std::memcmp(A + 3 * P, B + 3 * P, 3 * sizeof(float)) == 0)
+        continue;
+      Close = ++Changed <= NNClassifier::MaxDeltaPixels;
+      const long Row = static_cast<long>(P / Img.width());
+      const long Col = static_cast<long>(P % Img.width());
+      Win = Win.unite({Row, Row + 1, Col, Col + 1});
+    }
+    if (Close) {
+      Near.push_back(I);
+      Windows.push_back(Win);
+    } else {
+      Far.push_back(I);
+    }
+  }
+}
+
+} // namespace
+
+void NNClassifier::forwardSubset(std::span<const Image> Imgs,
+                                 const std::vector<size_t> &Idx,
+                                 DeltaPass *Pass,
+                                 std::vector<std::vector<float>> &Out) {
+  if (Idx.empty())
+    return;
+  const size_t N = Idx.size();
+  const size_t H = Imgs[Idx[0]].height(), W = Imgs[Idx[0]].width();
+  InputScratch.ensureShape({N, 3, H, W});
   for (size_t I = 0; I != N; ++I) {
-    assert(Imgs[I].height() == H && Imgs[I].width() == W &&
+    assert(Imgs[Idx[I]].height() == H && Imgs[Idx[I]].width() == W &&
            "mixed image shapes in one batch");
-    Imgs[I].writeToTensorBatch(BatchInputScratch, I);
+    Imgs[Idx[I]].writeToTensorBatch(InputScratch, I);
   }
 
-  Tensor Logits = Model->forward(BatchInputScratch, /*Train=*/false);
+  Tensor Logits = Pass ? Model->forwardDelta(InputScratch, *Pass, Tensor())
+                       : Model->forward(InputScratch, /*Train=*/false);
   assert(Logits.numel() == N * Classes && "model output size mismatch");
   Tensor Probs = Logits.reshaped({N, Classes});
   softmaxInPlace(Probs);
-
-  std::vector<std::vector<float>> Out(N);
   const float *Src = Probs.data();
   for (size_t I = 0; I != N; ++I)
-    Out[I].assign(Src + I * Classes, Src + (I + 1) * Classes);
+    Out[Idx[I]].assign(Src + I * Classes, Src + (I + 1) * Classes);
+}
+
+std::vector<std::vector<float>> NNClassifier::scoresBatch(
+    std::span<const Image> Imgs) {
+  std::vector<std::vector<float>> Out(Imgs.size());
+  std::vector<size_t> All(Imgs.size());
+  std::iota(All.begin(), All.end(), size_t{0});
+  if (kernels::naive()) {
+    // The scalar reference path stays a plain full forward.
+    forwardSubset(Imgs, All, nullptr, Out);
+    fullImagesCounter().inc(All.size());
+    return Out;
+  }
+  if (!Model->hasReference())
+    Reference = Image(); // none captured yet, or a Train forward dropped it
+
+  DeltaPass Near;
+  std::vector<size_t> NearIdx, Far;
+  partition(Imgs, All, Reference, NearIdx, Near.Windows, Far);
+  forwardSubset(Imgs, NearIdx, &Near, Out);
+  deltaImagesCounter().inc(NearIdx.size());
+  if (Far.empty())
+    return Out;
+
+  // The first far image becomes the reference: it and the images still far
+  // from it run one capturing full forward, the rest follow as deltas.
+  Reference = Imgs[Far[0]];
+  DeltaPass Next, Capture;
+  std::vector<size_t> NextIdx, Full{Far[0]};
+  partition(Imgs, std::span<const size_t>(Far).subspan(1), Reference,
+            NextIdx, Next.Windows, Full);
+  Capture.Capture = Capture.Saturated = true;
+  Capture.Windows.resize(Full.size());
+  forwardSubset(Imgs, Full, &Capture, Out);
+  fullImagesCounter().inc(Full.size());
+  forwardSubset(Imgs, NextIdx, &Next, Out);
+  deltaImagesCounter().inc(NextIdx.size());
   return Out;
 }
 
 std::vector<float> NNClassifier::scores(const Image &Img) {
-  if (InputScratch.rank() != 4 || InputScratch.dim(2) != Img.height() ||
-      InputScratch.dim(3) != Img.width())
-    InputScratch = Tensor({1, 3, Img.height(), Img.width()});
-  Img.writeToTensor(InputScratch);
-  Tensor Logits = Model->forward(InputScratch, /*Train=*/false);
-  assert(Logits.numel() == Classes && "model output size mismatch");
-  Tensor Probs = Logits.reshaped({Classes});
-  softmaxInPlace(Probs);
-  return Probs.vec();
+  return std::move(scoresBatch(std::span<const Image>(&Img, 1))[0]);
 }

@@ -20,6 +20,16 @@ namespace oppsla {
 /// Runs inference mode (running batchnorm statistics, no dropout) and
 /// returns softmax probabilities, so the DSL's score_diff thresholds live
 /// in [0,1] like the paper's example program.
+///
+/// Fast-kernel forwards are incremental (DESIGN.md §16). The classifier
+/// keeps one reference image, and the model keeps every layer's output for
+/// it. An image that differs from the reference in at most MaxDeltaPixels
+/// pixels (compared bytewise) is forwarded as a delta: each layer
+/// recomputes only what the changed pixels reach. The first other image of
+/// a call becomes the new reference and is forwarded in full, together
+/// with the images still far from it; those near it follow as a delta. The
+/// scores are bit-identical either way; the `nn.forward.delta_images` and
+/// `nn.forward.full_images` counters show which path each image took.
 class NNClassifier : public Classifier {
 public:
   /// Builds a structurally identical untrained model; weight contents are
@@ -30,13 +40,18 @@ public:
   NNClassifier(std::unique_ptr<Sequential> Model, size_t NumClasses,
                std::string Name);
 
+  /// Images within this many changed pixels of the reference are forwarded
+  /// as deltas.
+  static constexpr size_t MaxDeltaPixels = 4;
+
   std::vector<float> scores(const Image &Img) override;
 
-  /// Batched inference: assembles one {N, 3, H, W} tensor and runs a
-  /// single forward through the Sequential. Every layer's inference path
-  /// treats batch items independently with identical accumulation order,
-  /// so result[i] is bit-identical to scores(Imgs[i]) — verified per
-  /// architecture by tests/classify/BatchForwardTest.cpp.
+  /// Batched inference: the images near the reference share one delta
+  /// forward, the others one full {N, 3, H, W} forward. Every layer's
+  /// inference path treats batch items independently with identical
+  /// accumulation order, so result[i] is bit-identical to scores(Imgs[i])
+  /// — verified per architecture by tests/classify/BatchForwardTest.cpp
+  /// and tests/classify/DeltaForwardTest.cpp.
   std::vector<std::vector<float>> scoresBatch(
       std::span<const Image> Imgs) override;
 
@@ -54,15 +69,21 @@ public:
   std::unique_ptr<Classifier> clone() const override;
 
   const std::string &name() const { return ModelName; }
-  Sequential &model() { return *Model; }
 
 private:
+  /// Forwards Imgs[Idx[i]] as one batch — through \p Pass when non-null —
+  /// and stores the softmax scores in Out[Idx[i]].
+  void forwardSubset(std::span<const Image> Imgs,
+                     const std::vector<size_t> &Idx, DeltaPass *Pass,
+                     std::vector<std::vector<float>> &Out);
+
   std::unique_ptr<Sequential> Model;
   size_t Classes;
   std::string ModelName;
   ModelBuilder Builder;
-  Tensor InputScratch;      ///< reused {1,3,H,W} buffer
-  Tensor BatchInputScratch; ///< reused {N,3,H,W} buffer for scoresBatch
+  Tensor InputScratch; ///< reused {N,3,H,W} input buffer
+  /// The image whose layer outputs the model holds (empty: none yet).
+  Image Reference;
 };
 
 } // namespace oppsla

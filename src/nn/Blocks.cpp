@@ -40,8 +40,27 @@ ResidualBlock::ResidualBlock(size_t InC, size_t OutC, size_t Stride, Rng &R) {
 }
 
 Tensor ResidualBlock::forward(const Tensor &In, bool Train) {
-  Tensor F = Body.forward(In, Train);
-  Tensor Skip = Proj ? Proj->forward(In, Train) : In;
+  return run(In, Train, nullptr);
+}
+
+Tensor ResidualBlock::forwardDelta(const Tensor &In, DeltaPass &Pass,
+                                   const Tensor &Ref) {
+  (void)Ref; // Body and Proj carry their own references
+  return run(In, /*Train=*/false, &Pass);
+}
+
+Tensor ResidualBlock::run(const Tensor &In, bool Train, DeltaPass *Pass) {
+  Tensor F, Skip;
+  if (Pass) {
+    // The identity skip keeps the input's windows.
+    DeltaPass SkipPass = *Pass;
+    F = Body.forwardDelta(In, *Pass, Tensor());
+    Skip = Proj ? Proj->forwardDelta(In, SkipPass, Tensor()) : In;
+    Pass->unite(SkipPass);
+  } else {
+    F = Body.forward(In, Train);
+    Skip = Proj ? Proj->forward(In, Train) : In;
+  }
   assert(F.shape() == Skip.shape() && "residual shape mismatch");
   F += Skip;
   if (Train)
@@ -119,13 +138,36 @@ InceptionBlock::InceptionBlock(size_t InC, size_t C1x1, size_t C3x3,
 }
 
 Tensor InceptionBlock::forward(const Tensor &In, bool Train) {
+  return run(In, Train, nullptr);
+}
+
+Tensor InceptionBlock::forwardDelta(const Tensor &In, DeltaPass &Pass,
+                                    const Tensor &Ref) {
+  (void)Ref; // the branches carry their own references
+  return run(In, /*Train=*/false, &Pass);
+}
+
+Tensor InceptionBlock::run(const Tensor &In, bool Train, DeltaPass *Pass) {
   assert(In.rank() == 4 && "inception expects NCHW");
   const size_t N = In.dim(0), H = In.dim(2), W = In.dim(3);
   Tensor Out({N, OutC, H, W});
   const size_t Plane = H * W;
+  // Every branch starts from the input's windows; the output takes their
+  // union.
+  const DeltaPass InPass = Pass ? *Pass : DeltaPass();
   size_t ChanBase = 0;
   for (size_t BIdx = 0; BIdx != Branches.size(); ++BIdx) {
-    Tensor BOut = Branches[BIdx]->forward(In, Train);
+    Tensor BOut;
+    if (Pass) {
+      DeltaPass BranchPass = InPass;
+      BOut = Branches[BIdx]->forwardDelta(In, BranchPass, Tensor());
+      if (BIdx == 0)
+        *Pass = std::move(BranchPass);
+      else
+        Pass->unite(BranchPass);
+    } else {
+      BOut = Branches[BIdx]->forward(In, Train);
+    }
     const size_t BC = BranchChannels[BIdx];
     assert(BOut.dim(1) == BC && BOut.dim(2) == H && BOut.dim(3) == W &&
            "inception branch output shape");
@@ -191,9 +233,27 @@ DenseLayer::DenseLayer(size_t InC, size_t Growth, Rng &R)
 }
 
 Tensor DenseLayer::forward(const Tensor &In, bool Train) {
+  return run(In, Train, nullptr);
+}
+
+Tensor DenseLayer::forwardDelta(const Tensor &In, DeltaPass &Pass,
+                                const Tensor &Ref) {
+  (void)Ref; // the body carries its own reference
+  return run(In, /*Train=*/false, &Pass);
+}
+
+Tensor DenseLayer::run(const Tensor &In, bool Train, DeltaPass *Pass) {
   assert(In.rank() == 4 && In.dim(1) == InC && "dense layer input shape");
   const size_t N = In.dim(0), H = In.dim(2), W = In.dim(3);
-  Tensor G = Body.forward(In, Train);
+  Tensor G;
+  if (Pass) {
+    // The input passes through: keep its windows next to the body's.
+    const DeltaPass InPass = *Pass;
+    G = Body.forwardDelta(In, *Pass, Tensor());
+    Pass->unite(InPass);
+  } else {
+    G = Body.forward(In, Train);
+  }
   Tensor Out({N, InC + Growth, H, W});
   const size_t Plane = H * W;
   for (size_t B = 0; B != N; ++B) {

@@ -34,6 +34,10 @@ public:
   ResidualBlock(size_t InC, size_t OutC, size_t Stride, Rng &R);
 
   Tensor forward(const Tensor &In, bool Train) override;
+  /// Body and Proj run as delta forwards; the sum's window is the union of
+  /// theirs, and the add and ReLU run over the whole map.
+  Tensor forwardDelta(const Tensor &In, DeltaPass &Pass,
+                      const Tensor &Ref) override;
   Tensor backward(const Tensor &GradOut) override;
   void collectParams(const std::string &Prefix,
                      std::vector<ParamRef> &Params) override;
@@ -43,6 +47,9 @@ public:
   std::string name() const override { return "residual"; }
 
 private:
+  /// forward (\p Pass null) or forwardDelta.
+  Tensor run(const Tensor &In, bool Train, DeltaPass *Pass);
+
   Sequential Body;           ///< conv-bn-relu, conv-bn
   std::unique_ptr<Sequential> Proj; ///< 1x1 conv-bn when shapes differ
   Tensor CachedSum;          ///< pre-activation sum for the final ReLU
@@ -57,6 +64,10 @@ public:
   InceptionBlock(size_t InC, size_t C1x1, size_t C3x3, size_t C5x5, Rng &R);
 
   Tensor forward(const Tensor &In, bool Train) override;
+  /// Every branch runs as a delta forward; the output window is the union
+  /// of the branches' windows.
+  Tensor forwardDelta(const Tensor &In, DeltaPass &Pass,
+                      const Tensor &Ref) override;
   Tensor backward(const Tensor &GradOut) override;
   void collectParams(const std::string &Prefix,
                      std::vector<ParamRef> &Params) override;
@@ -68,6 +79,9 @@ public:
   size_t outChannels() const { return OutC; }
 
 private:
+  /// forward (\p Pass null) or forwardDelta.
+  Tensor run(const Tensor &In, bool Train, DeltaPass *Pass);
+
   std::vector<std::unique_ptr<Sequential>> Branches;
   std::vector<size_t> BranchChannels;
   size_t OutC;
@@ -80,6 +94,10 @@ public:
   DenseLayer(size_t InC, size_t Growth, Rng &R);
 
   Tensor forward(const Tensor &In, bool Train) override;
+  /// The body runs as a delta forward; the output window is the union of
+  /// the input's window and the body's.
+  Tensor forwardDelta(const Tensor &In, DeltaPass &Pass,
+                      const Tensor &Ref) override;
   Tensor backward(const Tensor &GradOut) override;
   void collectParams(const std::string &Prefix,
                      std::vector<ParamRef> &Params) override;
@@ -91,6 +109,9 @@ public:
   size_t outChannels() const { return InC + Growth; }
 
 private:
+  /// forward (\p Pass null) or forwardDelta.
+  Tensor run(const Tensor &In, bool Train, DeltaPass *Pass);
+
   size_t InC, Growth;
   Sequential Body;
 };

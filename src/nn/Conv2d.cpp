@@ -74,10 +74,8 @@ Tensor Conv2d::forward(const Tensor &In, bool Train) {
     // Fast inference: packed GEMM scatters straight into NCHW with the
     // bias folded into the tile store.
     packWeight();
-    GemmEpilogue Ep;
-    Ep.Bias = HasBias ? Bias.data() : nullptr;
     gemmPackedConvOut(PackedWeight.data(), Cols->data(), Out.data(), OutC,
-                      Rows, N, OH * OW, Ep);
+                      Rows, N, OH * OW, fusedEpilogue(nullptr, false));
     return Out;
   }
 
@@ -102,14 +100,8 @@ Tensor Conv2d::forward(const Tensor &In, bool Train) {
   return Out;
 }
 
-Tensor Conv2d::forwardFused(const Tensor &In, const BatchNorm2d *Bn,
-                            bool Relu) {
-  assert(!kernels::naive() && "fused forward requires fast kernels");
+GemmEpilogue Conv2d::fusedEpilogue(const BatchNorm2d *Bn, bool Relu) {
   assert((!Bn || Bn->channels() == OutC) && "fused batchnorm channel count");
-  size_t N, OH, OW;
-  Tensor *Cols = nullptr;
-  Tensor Out = prepareForward(In, /*Train=*/false, N, OH, OW, Cols);
-  packWeight();
   GemmEpilogue Ep;
   Ep.Bias = HasBias ? Bias.data() : nullptr;
   if (Bn) {
@@ -118,8 +110,94 @@ Tensor Conv2d::forwardFused(const Tensor &In, const BatchNorm2d *Bn,
     Ep.Shift = FusedShift.data();
   }
   Ep.Relu = Relu;
+  return Ep;
+}
+
+Tensor Conv2d::forwardFused(const Tensor &In, const BatchNorm2d *Bn,
+                            bool Relu) {
+  assert(!kernels::naive() && "fused forward requires fast kernels");
+  size_t N, OH, OW;
+  Tensor *Cols = nullptr;
+  Tensor Out = prepareForward(In, /*Train=*/false, N, OH, OW, Cols);
+  packWeight();
   gemmPackedConvOut(PackedWeight.data(), Cols->data(), Out.data(), OutC,
-                    InC * Kernel * Kernel, N, OH * OW, Ep);
+                    InC * Kernel * Kernel, N, OH * OW, fusedEpilogue(Bn, Relu));
+  return Out;
+}
+
+namespace {
+
+/// im2col restricted to the output positions inside each batch item's
+/// window: column order is item-major, then each window row-major. Every
+/// column holds exactly the values im2col writes for that position
+/// (zero padding included). \p Cols is {C*K*K, sum of window areas}.
+void im2colWindows(const Tensor &In, size_t Kernel, size_t Stride, size_t Pad,
+                   const std::vector<DeltaWindow> &Windows, Tensor &Cols) {
+  const size_t C = In.dim(1), H = In.dim(2), W = In.dim(3);
+  const long S = static_cast<long>(Stride), P = static_cast<long>(Pad);
+  float *Dst = Cols.data();
+  for (size_t Ch = 0; Ch != C; ++Ch) {
+    for (size_t Ki = 0; Ki != Kernel; ++Ki) {
+      for (size_t Kj = 0; Kj != Kernel; ++Kj) {
+        for (size_t B = 0; B != Windows.size(); ++B) {
+          const DeltaWindow &Win = Windows[B];
+          const float *Plane = In.data() + (B * C + Ch) * H * W;
+          for (long Oi = Win.R0; Oi < Win.R1; ++Oi) {
+            const long Ii = Oi * S + static_cast<long>(Ki) - P;
+            const bool RowIn = Ii >= 0 && Ii < static_cast<long>(H);
+            for (long Oj = Win.C0; Oj < Win.C1; ++Oj) {
+              const long Jj = Oj * S + static_cast<long>(Kj) - P;
+              *Dst++ = RowIn && Jj >= 0 && Jj < static_cast<long>(W)
+                           ? Plane[Ii * static_cast<long>(W) + Jj]
+                           : 0.0f;
+            }
+          }
+        }
+      }
+    }
+  }
+  assert(Dst == Cols.data() + Cols.numel() && "window column count");
+}
+
+} // namespace
+
+Tensor Conv2d::forwardFusedDelta(const Tensor &In, const BatchNorm2d *Bn,
+                                 bool Relu, DeltaPass &Pass,
+                                 const Tensor &Ref) {
+  assert(In.rank() == 4 && In.dim(1) == InC && "conv input shape mismatch");
+  assert(Pass.Windows.size() == In.dim(0) && "one window per batch item");
+  const size_t N = In.dim(0);
+  const size_t OH = convOutSize(In.dim(2), Kernel, Stride, Pad);
+  const size_t OW = convOutSize(In.dim(3), Kernel, Stride, Pad);
+  const size_t Dirty =
+      Pass.Saturated ? 0 : Pass.advance(Kernel, Stride, Pad, OH, OW);
+  if (Pass.Saturated)
+    return forwardFused(In, Bn, Relu);
+
+  Tensor Out = tileReference(Ref, N);
+  assert(Out.shape() == Shape({N, OutC, OH, OW}) && "conv reference shape");
+  if (Dirty == 0)
+    return Out;
+  const size_t Rows = InC * Kernel * Kernel;
+  noteScratchRealloc(ScratchCols.ensureShape({Rows, Dirty}));
+  im2colWindows(In, Kernel, Stride, Pad, Pass.Windows, ScratchCols);
+  noteScratchRealloc(ScratchOut.ensureShape({OutC, Dirty}));
+  packWeight();
+  gemmPacked(PackedWeight.data(), ScratchCols.data(), ScratchOut.data(), OutC,
+             Rows, Dirty, fusedEpilogue(Bn, Relu));
+
+  // Scatter the {OutC, Dirty} product back into the windows.
+  const size_t Plane = OH * OW;
+  for (size_t Oc = 0; Oc != OutC; ++Oc) {
+    const float *Src = ScratchOut.data() + Oc * Dirty;
+    for (size_t B = 0; B != N; ++B) {
+      const DeltaWindow &Win = Pass.Windows[B];
+      float *Dst = Out.data() + (B * OutC + Oc) * Plane;
+      for (long Oi = Win.R0; Oi < Win.R1; ++Oi)
+        for (long Oj = Win.C0; Oj < Win.C1; ++Oj)
+          Dst[Oi * static_cast<long>(OW) + Oj] = *Src++;
+    }
+  }
   return Out;
 }
 

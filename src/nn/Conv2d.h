@@ -8,6 +8,7 @@
 #define OPPSLA_NN_CONV2D_H
 
 #include "nn/Layer.h"
+#include "tensor/Gemm.h"
 
 #include <vector>
 
@@ -33,6 +34,14 @@ public:
   /// fusion plan when fast kernels are enabled; bit-identical to running
   /// the unfused layers in sequence (DESIGN.md §12).
   Tensor forwardFused(const Tensor &In, const BatchNorm2d *Bn, bool Relu);
+
+  /// Delta flavor of forwardFused (Layer::forwardDelta): im2col gathers
+  /// only the output columns inside the dirty windows, every delta item of
+  /// the batch shares one packed GEMM with the same fused epilogue, and the
+  /// results are scattered over copies of \p Ref. Each output element is
+  /// the same fma chain as in forwardFused, so the bytes are identical.
+  Tensor forwardFusedDelta(const Tensor &In, const BatchNorm2d *Bn, bool Relu,
+                           DeltaPass &Pass, const Tensor &Ref);
 
   Tensor backward(const Tensor &GradOut) override;
   void collectParams(const std::string &Prefix,
@@ -60,6 +69,8 @@ private:
   Tensor prepareForward(const Tensor &In, bool Train, size_t &N, size_t &OH,
                         size_t &OW, Tensor *&Cols);
   void packWeight();
+  /// The fused epilogue for this layer's bias plus \p Bn and \p Relu.
+  GemmEpilogue fusedEpilogue(const BatchNorm2d *Bn, bool Relu);
   /// Counts a scratch growth event in the layer and in telemetry.
   void noteScratchRealloc(bool Grew);
 

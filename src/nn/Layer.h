@@ -35,6 +35,56 @@ struct ParamRef {
   Tensor *Grad;
 };
 
+/// The part of one batch item's feature map that differs from the
+/// reference: rows [R0, R1) x columns [C0, C1), half-open. Empty when the
+/// item equals the reference there.
+struct DeltaWindow {
+  long R0 = 0, R1 = 0, C0 = 0, C1 = 0;
+
+  bool empty() const { return R0 >= R1 || C0 >= C1; }
+  size_t area() const {
+    return empty() ? 0 : static_cast<size_t>((R1 - R0) * (C1 - C0));
+  }
+
+  /// The window of an OH x OW output map, produced by a square sliding
+  /// window (\p Kernel, \p Stride, \p Pad), whose positions read at least
+  /// one position of this window.
+  DeltaWindow through(size_t Kernel, size_t Stride, size_t Pad, size_t OH,
+                      size_t OW) const;
+
+  /// The smallest window covering both.
+  DeltaWindow unite(const DeltaWindow &Other) const;
+};
+
+/// One incremental inference forward (Layer::forwardDelta): every batch
+/// item differs from the reference input only inside its window, so each
+/// layer recomputes only the output positions those windows reach and
+/// copies the reference's outputs everywhere else (DESIGN.md §16).
+struct DeltaPass {
+  /// Dirty window of each batch item in the current layer's input map.
+  std::vector<DeltaWindow> Windows;
+  /// Every window covers its whole map (or the map stopped being spatial):
+  /// the rest of the forward runs the full batched path.
+  bool Saturated = false;
+  /// The pass records a new reference: a full forward during which every
+  /// Sequential keeps batch item 0's step outputs.
+  bool Capture = false;
+
+  /// Moves every window onto the OH x OW output map of a sliding-window
+  /// layer, widens a window that covers more than half of that map to the
+  /// whole map, and sets Saturated once every window is whole. Returns the
+  /// number of dirty output positions per channel.
+  size_t advance(size_t Kernel, size_t Stride, size_t Pad, size_t OH,
+                 size_t OW);
+
+  /// Joins the windows of a parallel branch computed over the same map.
+  void unite(const DeltaPass &Other);
+};
+
+/// A {N, ...} tensor holding \p N copies of the single-item reference
+/// output \p Ref: the starting point of every windowed delta layer.
+Tensor tileReference(const Tensor &Ref, size_t N);
+
 /// Abstract base for all layers.
 class Layer {
 public:
@@ -44,6 +94,14 @@ public:
   /// whatever backward() needs and uses training behaviour (batch stats,
   /// active dropout, ...).
   virtual Tensor forward(const Tensor &In, bool Train) = 0;
+
+  /// Fast-kernel inference forward of a batch described by \p Pass (see
+  /// DeltaPass); \p Ref is this layer's output for the reference image
+  /// ({1, ...}), read only while the pass is not saturated. Returns the
+  /// bytes forward(In, false) returns and moves Pass onto the output map.
+  /// The default is that full forward, after which Pass is saturated.
+  virtual Tensor forwardDelta(const Tensor &In, DeltaPass &Pass,
+                              const Tensor &Ref);
 
   /// Propagates \p GradOut (d loss / d output) to the input, accumulating
   /// parameter gradients. Must be called after a forward(Train=true) with

@@ -158,7 +158,8 @@ std::unique_ptr<Sequential> buildMlp(size_t NumClasses, size_t Side,
 
 std::unique_ptr<Sequential> oppsla::buildModel(Arch A, size_t NumClasses,
                                                size_t InputSide, Rng &R) {
-  assert(InputSide >= 16 && "input side too small for the downsampling");
+  assert(InputSide >= (A == Arch::MiniResNet50 ? 16u : 8u) &&
+         "input side too small for the downsampling");
   switch (A) {
   case Arch::MiniVGG:
     return buildMiniVGG(NumClasses, InputSide, R);

@@ -18,6 +18,9 @@ public:
       : Window(Window), Stride(Stride ? Stride : Window) {}
 
   Tensor forward(const Tensor &In, bool Train) override;
+  /// Recomputes the pooled positions the dirty windows reach.
+  Tensor forwardDelta(const Tensor &In, DeltaPass &Pass,
+                      const Tensor &Ref) override;
   Tensor backward(const Tensor &GradOut) override;
   std::string name() const override { return "maxpool2d"; }
 
@@ -34,6 +37,9 @@ public:
       : Window(Window), Stride(Stride ? Stride : Window) {}
 
   Tensor forward(const Tensor &In, bool Train) override;
+  /// Recomputes the pooled positions the dirty windows reach.
+  Tensor forwardDelta(const Tensor &In, DeltaPass &Pass,
+                      const Tensor &Ref) override;
   Tensor backward(const Tensor &GradOut) override;
   std::string name() const override { return "avgpool2d"; }
 

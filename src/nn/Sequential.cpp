@@ -70,64 +70,94 @@ void Sequential::buildFusionPlan() {
 }
 
 Tensor Sequential::forward(const Tensor &In, bool Train) {
+  if (Train)
+    StepRefs.clear();
+  return run(In, Train, nullptr);
+}
+
+Tensor Sequential::forwardDelta(const Tensor &In, DeltaPass &Pass,
+                                const Tensor &Ref) {
+  (void)Ref; // every step carries its own reference in StepRefs
+  return run(In, /*Train=*/false, &Pass);
+}
+
+Tensor Sequential::runStep(size_t S, const Tensor &X, DeltaPass *Pass) {
+  const FusedStep &St = FusionPlan[S];
+  if (!Pass || (Pass->Saturated && !Pass->Capture))
+    return St.Conv ? St.Conv->forwardFused(X, St.Bn, St.Relu)
+                   : Layers[St.Begin]->forward(X, /*Train=*/false);
+  // A capturing pass is saturated, so no step reads the stale entry.
+  const Tensor &Ref = StepRefs[S];
+  Tensor Y = St.Conv ? St.Conv->forwardFusedDelta(X, St.Bn, St.Relu, *Pass,
+                                                  Ref)
+                     : Layers[St.Begin]->forwardDelta(X, *Pass, Ref);
+  if (Pass->Capture) {
+    // Keep batch item 0, the new reference image.
+    std::vector<size_t> Dims = Y.shape().dims();
+    const size_t Item = Y.numel() / Dims[0];
+    Dims[0] = 1;
+    StepRefs[S] = Tensor(Shape(std::move(Dims)),
+                         std::vector<float>(Y.data(), Y.data() + Item));
+  }
+  return Y;
+}
+
+Tensor Sequential::run(const Tensor &In, bool Train, DeltaPass *Pass) {
   const bool Fast = !Train && !kernels::naive();
+  assert((Fast || !Pass) && "delta forwards need fast-kernel inference");
   if (Fast && FusionPlanLayers != Layers.size())
     buildFusionPlan();
+  if (Pass && Pass->Capture)
+    StepRefs.resize(FusionPlan.size());
+  assert((!Pass || StepRefs.size() == FusionPlan.size()) &&
+         "delta forward without a captured reference");
 
   const bool Timing = telemetry::layerTimingEnabled();
   const bool Prof = telemetry::profilingEnabled();
-  if ((Timing || Prof) && ForwardDepth == 0) {
-    if (Prof && SpanNames.size() != Layers.size()) {
-      // Models are cloned per worker thread, so the lazy build races
-      // nothing: only the owning thread runs this forward.
-      SpanNames.clear();
-      SpanNames.reserve(Layers.size());
-      char Key[160];
-      for (size_t I = 0; I != Layers.size(); ++I) {
-        std::snprintf(Key, sizeof(Key), "nn.%02zu.%s", I,
-                      Layers[I]->name().c_str());
-        SpanNames.push_back(telemetry::internProfileName(Key));
-      }
+  const bool Instrument = (Timing || Prof) && ForwardDepth == 0;
+  if (Instrument && Prof && SpanNames.size() != Layers.size()) {
+    // Models are cloned per worker thread, so the lazy build races
+    // nothing: only the owning thread runs this forward.
+    SpanNames.clear();
+    SpanNames.reserve(Layers.size());
+    char Key[160];
+    for (size_t I = 0; I != Layers.size(); ++I) {
+      std::snprintf(Key, sizeof(Key), "nn.%02zu.%s", I,
+                    Layers[I]->name().c_str());
+      SpanNames.push_back(telemetry::internProfileName(Key));
     }
+  }
+  if (Instrument)
     ++ForwardDepth;
-    telemetry::ProfileScope ForwardSpan(Prof ? "nn.forward" : nullptr);
-    Tensor X = In;
-    size_t Step = 0;
-    for (size_t I = 0; I != Layers.size();) {
-      // A fused step is attributed to its conv layer's span/counter; the
-      // folded BatchNorm/ReLU layers simply do not appear in that run.
-      telemetry::ProfileScope LayerSpan(Prof ? SpanNames[I] : nullptr);
-      const auto T0 = std::chrono::steady_clock::now();
-      size_t Count = 1;
-      if (Fast) {
-        const FusedStep &St = FusionPlan[Step++];
-        Count = St.Count;
-        X = St.Conv ? St.Conv->forwardFused(X, St.Bn, St.Relu)
-                    : Layers[I]->forward(X, Train);
-      } else {
-        X = Layers[I]->forward(X, Train);
-      }
-      if (Timing) {
-        const auto Us =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - T0)
-                .count();
-        recordLayerTime(I, Layers[I]->name(), static_cast<uint64_t>(Us));
-      }
-      I += Count;
-    }
-    --ForwardDepth;
-    return X;
-  }
+  telemetry::ProfileScope ForwardSpan(Instrument && Prof ? "nn.forward"
+                                                         : nullptr);
   Tensor X = In;
-  if (Fast) {
-    for (const FusedStep &St : FusionPlan)
-      X = St.Conv ? St.Conv->forwardFused(X, St.Bn, St.Relu)
-                  : Layers[St.Begin]->forward(X, Train);
-    return X;
+  for (size_t I = 0, Step = 0; I != Layers.size(); ++Step) {
+    // A fused step is attributed to its conv layer's span/counter; the
+    // folded BatchNorm/ReLU layers simply do not appear in that run.
+    telemetry::ProfileScope LayerSpan(Instrument && Prof ? SpanNames[I]
+                                                         : nullptr);
+    const auto T0 = Instrument && Timing
+                        ? std::chrono::steady_clock::now()
+                        : std::chrono::steady_clock::time_point();
+    size_t Count = 1;
+    if (Fast) {
+      Count = FusionPlan[Step].Count;
+      X = runStep(Step, X, Pass);
+    } else {
+      X = Layers[I]->forward(X, Train);
+    }
+    if (Instrument && Timing) {
+      const auto Us =
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - T0)
+              .count();
+      recordLayerTime(I, Layers[I]->name(), static_cast<uint64_t>(Us));
+    }
+    I += Count;
   }
-  for (LayerPtr &L : Layers)
-    X = L->forward(X, Train);
+  if (Instrument)
+    --ForwardDepth;
   return X;
 }
 

@@ -24,6 +24,11 @@ class Conv2d;
 /// BatchNorm affine and ReLU in registers), bit-identical to running the
 /// layers in sequence. Blocks nest Sequentials, so the plan covers every
 /// zoo architecture without the blocks knowing about fusion.
+///
+/// Delta forwards (forwardDelta) walk the same plan. A capturing pass keeps
+/// batch item 0's output of every step as the reference; later passes hand
+/// each step its reference output and switch to the plain fast path once
+/// the pass saturates (DESIGN.md §16).
 class Sequential : public Layer {
 public:
   Sequential() = default;
@@ -49,7 +54,11 @@ public:
     return *Layers[I];
   }
 
+  /// A Train forward drops the captured reference: training is about to
+  /// change the weights it was computed with.
   Tensor forward(const Tensor &In, bool Train) override;
+  Tensor forwardDelta(const Tensor &In, DeltaPass &Pass,
+                      const Tensor &Ref) override;
   Tensor backward(const Tensor &GradOut) override;
   void collectParams(const std::string &Prefix,
                      std::vector<ParamRef> &Params) override;
@@ -62,6 +71,10 @@ public:
   std::vector<ParamRef> parameters();
   /// Convenience: all persistent buffers with a fresh prefix.
   std::vector<std::pair<std::string, Tensor *>> buffers();
+
+  /// True once a capturing delta pass recorded a reference that no Train
+  /// forward has dropped since.
+  bool hasReference() const { return !StepRefs.empty(); }
 
 private:
   /// One execution step of the fusion plan: either a single plain layer
@@ -81,8 +94,17 @@ private:
   /// nothing.
   void buildFusionPlan();
 
+  /// The shared layer loop of forward and forwardDelta (\p Pass non-null),
+  /// instrumented with the per-layer spans and timing counters.
+  Tensor run(const Tensor &In, bool Train, DeltaPass *Pass);
+  /// Runs fusion-plan step \p S at fast-kernel inference.
+  Tensor runStep(size_t S, const Tensor &X, DeltaPass *Pass);
+
   std::vector<LayerPtr> Layers;
   std::vector<FusedStep> FusionPlan;
+  /// Reference output of each fusion-plan step ({1, ...}), recorded by the
+  /// last capturing delta pass.
+  std::vector<Tensor> StepRefs;
   size_t FusionPlanLayers = static_cast<size_t>(-1);
   /// Interned `nn.<ii>.<layer>` span names for the profiler, built lazily
   /// on the first profiled forward (index-aligned with Layers).

@@ -185,23 +185,6 @@ void microKernelFull(const float *__restrict Panel, const float *__restrict B,
 #endif
 }
 
-/// Column-tail variant (Cols < NR): same chains, shorter j-loop.
-void microKernelTail(const float *Panel, const float *B, size_t Ldb, size_t K,
-                     size_t Cols, float Acc[MR][NR]) {
-  for (size_t R = 0; R != MR; ++R)
-    for (size_t J = 0; J != NR; ++J)
-      Acc[R][J] = 0.0f;
-  for (size_t Kk = 0; Kk != K; ++Kk) {
-    const float *BRow = B + Kk * Ldb;
-    const float *APack = Panel + Kk * MR;
-    for (size_t R = 0; R != MR; ++R) {
-      const float AV = APack[R];
-      for (size_t J = 0; J != Cols; ++J)
-        Acc[R][J] = std::fma(AV, BRow[J], Acc[R][J]);
-    }
-  }
-}
-
 /// Applies the epilogue to one accumulator row and stores it contiguously.
 /// Mirrors the reference path op-for-op: conv bias add (0.0f when the
 /// layer has none), BatchNorm2d's `fma(v, Scale, Shift)`, ReLU's ternary.
@@ -252,25 +235,38 @@ void storeTile(const float Acc[MR][NR], float *Out, size_t M, size_t Plane,
 }
 
 /// Computes output columns [J0, J1) of the whole product: for each K x NC
-/// B-block, sweep every packed A panel so the block stays cache-hot.
+/// B-block, sweep every packed A panel so the block stays cache-hot. A
+/// block's tail of fewer than NR columns is copied once into a zero-filled
+/// K x NR buffer so it, too, runs the full-width kernel; each column is its
+/// own fma chain and the padded columns are never stored, so the live
+/// columns keep their bytes.
 void runColumns(const float *Pack, const float *B, float *Out, size_t M,
                 size_t K, size_t N, size_t Plane, size_t J0, size_t J1,
                 const GemmEpilogue &Ep) {
   const size_t Panels = (M + MR - 1) / MR;
   float Acc[MR][NR];
+  thread_local std::vector<float> Tail;
   for (size_t Jc = J0; Jc < J1; Jc += NC) {
     const size_t JcEnd = std::min(Jc + NC, J1);
+    const size_t TailCols = (JcEnd - Jc) % NR;
+    const size_t TailJ = JcEnd - TailCols;
+    if (TailCols != 0) {
+      Tail.assign(K * NR, 0.0f);
+      for (size_t Kk = 0; Kk != K; ++Kk)
+        std::memcpy(&Tail[Kk * NR], B + Kk * N + TailJ,
+                    TailCols * sizeof(float));
+    }
     for (size_t P = 0; P != Panels; ++P) {
       const float *Panel = Pack + P * K * MR;
       const size_t I0 = P * MR;
       const size_t Rows = std::min(MR, M - I0);
-      for (size_t J = Jc; J < JcEnd; J += NR) {
-        const size_t Cols = std::min(NR, JcEnd - J);
-        if (Cols == NR)
-          microKernelFull(Panel, B + J, N, K, Acc);
-        else
-          microKernelTail(Panel, B + J, N, K, Cols, Acc);
-        storeTile(Acc, Out, M, Plane, I0, Rows, J, Cols, Ep);
+      for (size_t J = Jc; J < TailJ; J += NR) {
+        microKernelFull(Panel, B + J, N, K, Acc);
+        storeTile(Acc, Out, M, Plane, I0, Rows, J, NR, Ep);
+      }
+      if (TailCols != 0) {
+        microKernelFull(Panel, Tail.data(), NR, K, Acc);
+        storeTile(Acc, Out, M, Plane, I0, Rows, TailJ, TailCols, Ep);
       }
     }
   }

@@ -1,7 +1,8 @@
 # Exercises the parallel evaluation sweep end to end; registered only when
-# the build was configured with -DOPPSLA_SANITIZE=thread|address, so any
-# data race (or memory error) in the worker pool, the classifier clones, or
-# the per-run attack state fails the test via the sanitizer runtime.
+# the build was configured with -DOPPSLA_SANITIZE=thread|address|undefined,
+# so any data race (or memory error, or undefined behaviour) in the worker
+# pool, the classifier clones, or the per-run attack state fails the test
+# via the sanitizer runtime.
 file(MAKE_DIRECTORY ${WORK_DIR})
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env OPPSLA_CACHE_DIR=${WORK_DIR}/cache
