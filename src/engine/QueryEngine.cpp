@@ -104,11 +104,13 @@ std::vector<std::vector<float>> QueryEngine::scoresBatch(
   std::vector<size_t> Unique;
   std::vector<std::pair<size_t, size_t>> Aliases; ///< (dup index, rep index)
   std::unordered_map<uint64_t, std::vector<size_t>> Reps;
+  std::vector<uint64_t> Hashes(N); ///< reused by the inserts below
   uint64_t Hits = 0;
   {
     telemetry::ProfileScope ProbeSpan("engine.cache.probe");
     for (size_t I = 0; I != N; ++I) {
-      const uint64_t Hash = Cache->enabled() ? Imgs[I].contentHash() : 0;
+      const uint64_t Hash = Hashes[I] =
+          Cache->enabled() ? Imgs[I].contentHash() : 0;
       if (Cache->enabled() && Cache->lookup(Imgs[I], Hash, Out[I])) {
         ++Hits;
         continue;
@@ -135,7 +137,7 @@ std::vector<std::vector<float>> QueryEngine::scoresBatch(
   forwardUnique(Imgs, Unique, Out);
   if (Cache->enabled())
     for (size_t I : Unique)
-      Cache->insert(Imgs[I], Imgs[I].contentHash(), Out[I]);
+      Cache->insert(Imgs[I], Hashes[I], Out[I]);
   for (const auto &[Dup, Rep] : Aliases)
     Out[Dup] = Out[Rep];
 
@@ -156,9 +158,10 @@ void QueryEngine::prefetch(std::span<const Image> Imgs) {
   telemetry::ProfileScope Span("engine.prefetch");
 
   std::vector<size_t> Unique;
+  std::vector<uint64_t> Hashes(Imgs.size()); ///< reused by the inserts below
   std::unordered_map<uint64_t, std::vector<size_t>> Reps;
   for (size_t I = 0; I != Imgs.size(); ++I) {
-    const uint64_t Hash = Imgs[I].contentHash();
+    const uint64_t Hash = Hashes[I] = Imgs[I].contentHash();
     if (Cache->contains(Imgs[I], Hash))
       continue;
     bool Aliased = false;
@@ -182,7 +185,7 @@ void QueryEngine::prefetch(std::span<const Image> Imgs) {
   std::vector<std::vector<float>> Scores(Imgs.size());
   forwardUnique(Imgs, Unique, Scores);
   for (size_t I : Unique)
-    Cache->insert(Imgs[I], Imgs[I].contentHash(), std::move(Scores[I]));
+    Cache->insert(Imgs[I], Hashes[I], std::move(Scores[I]));
   prefetchCounter().inc(Unique.size());
 
   if (telemetry::traceEnabled())

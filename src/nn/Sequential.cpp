@@ -103,6 +103,8 @@ Tensor Sequential::runStep(size_t S, const Tensor &X, DeltaPass *Pass) {
 }
 
 Tensor Sequential::run(const Tensor &In, bool Train, DeltaPass *Pass) {
+  if (Layers.empty())
+    return In;
   const bool Fast = !Train && !kernels::naive();
   assert((Fast || !Pass) && "delta forwards need fast-kernel inference");
   if (Fast && FusionPlanLayers != Layers.size())
@@ -131,8 +133,10 @@ Tensor Sequential::run(const Tensor &In, bool Train, DeltaPass *Pass) {
     ++ForwardDepth;
   telemetry::ProfileScope ForwardSpan(Instrument && Prof ? "nn.forward"
                                                          : nullptr);
-  Tensor X = In;
+  // The first step reads In itself, not a copy; every later step reads X.
+  Tensor X;
   for (size_t I = 0, Step = 0; I != Layers.size(); ++Step) {
+    const Tensor &Cur = I == 0 ? In : X;
     // A fused step is attributed to its conv layer's span/counter; the
     // folded BatchNorm/ReLU layers simply do not appear in that run.
     telemetry::ProfileScope LayerSpan(Instrument && Prof ? SpanNames[I]
@@ -143,9 +147,9 @@ Tensor Sequential::run(const Tensor &In, bool Train, DeltaPass *Pass) {
     size_t Count = 1;
     if (Fast) {
       Count = FusionPlan[Step].Count;
-      X = runStep(Step, X, Pass);
+      X = runStep(Step, Cur, Pass);
     } else {
-      X = Layers[I]->forward(X, Train);
+      X = Layers[I]->forward(Cur, Train);
     }
     if (Instrument && Timing) {
       const auto Us =
