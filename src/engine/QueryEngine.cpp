@@ -69,7 +69,7 @@ std::vector<float> QueryEngine::scores(const Image &Img) {
   logicalCounter().inc();
   std::vector<float> S;
   if (Cache->enabled()) {
-    const uint64_t Hash = Img.contentHash();
+    const uint64_t Hash = ScoreCache::key(Img);
     if (Cache->lookup(Img, Hash, S)) {
       hitCounter().inc();
       return S;
@@ -110,7 +110,7 @@ std::vector<std::vector<float>> QueryEngine::scoresBatch(
     telemetry::ProfileScope ProbeSpan("engine.cache.probe");
     for (size_t I = 0; I != N; ++I) {
       const uint64_t Hash = Hashes[I] =
-          Cache->enabled() ? Imgs[I].contentHash() : 0;
+          Cache->enabled() ? ScoreCache::key(Imgs[I]) : 0;
       if (Cache->enabled() && Cache->lookup(Imgs[I], Hash, Out[I])) {
         ++Hits;
         continue;
@@ -161,7 +161,7 @@ void QueryEngine::prefetch(std::span<const Image> Imgs) {
   std::vector<uint64_t> Hashes(Imgs.size()); ///< reused by the inserts below
   std::unordered_map<uint64_t, std::vector<size_t>> Reps;
   for (size_t I = 0; I != Imgs.size(); ++I) {
-    const uint64_t Hash = Hashes[I] = Imgs[I].contentHash();
+    const uint64_t Hash = Hashes[I] = ScoreCache::key(Imgs[I]);
     if (Cache->contains(Imgs[I], Hash))
       continue;
     bool Aliased = false;

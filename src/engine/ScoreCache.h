@@ -11,10 +11,10 @@
 /// forward is deterministic, so memoized scores are bit-identical to fresh
 /// ones — caching can never change a result, only skip a forward.
 ///
-/// Keys are Image::contentHash values, but a 64-bit hash is not an
-/// identity: every hit re-verifies the full pixel bytes against the stored
-/// image and treats a mismatch as a miss (counted separately), so a hash
-/// collision costs a forward, never a wrong answer.
+/// Keys are ScoreCache::key values, but a 64-bit hash is not an identity:
+/// every hit re-verifies the full pixel bytes against the stored image and
+/// treats a mismatch as a miss (counted separately), so a hash collision
+/// costs a forward, never a wrong answer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +38,14 @@ public:
   /// cache entirely (every lookup misses, inserts are dropped).
   explicit ScoreCache(size_t Capacity) : Capacity(Capacity) {}
 
-  /// Looks up \p Img (whose content hash the caller already computed).
+  /// The cache key of \p Img: its pixel bytes hashed as 64-bit words in
+  /// four independent xor-rotate-multiply lanes, folded with H and W
+  /// through the SplitMix64 finalizer. Every probe and insert pays it.
+  /// Unlike Image::contentHash, which seeds attack RNG streams, it is never
+  /// part of a result, so it can change without moving a byte.
+  static uint64_t key(const Image &Img);
+
+  /// Looks up \p Img (whose key() the caller already computed).
   /// On a verified hit, copies the memoized scores into \p ScoresOut,
   /// promotes the entry to most-recently-used, and returns true.
   bool lookup(const Image &Img, uint64_t Hash, std::vector<float> &ScoresOut);

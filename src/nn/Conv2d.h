@@ -10,8 +10,6 @@
 #include "nn/Layer.h"
 #include "tensor/Gemm.h"
 
-#include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace oppsla {
@@ -19,15 +17,16 @@ namespace oppsla {
 class BatchNorm2d;
 class Rng;
 
-/// 2-D convolution over NCHW tensors, lowered to GEMM via im2col.
+/// 2-D convolution over NCHW tensors.
 ///
 /// Weight shape is {OutC, InC * KH * KW} (each output channel is one GEMM
 /// row); bias is {OutC}. Kaiming-normal initialization.
 ///
 /// Fast inference forwards on narrow output maps, and every delta
-/// forward, fill the GEMM's im2col matrix from a gather table built once
-/// per input geometry; training, --naive-kernels and full forwards on
-/// wide maps run oppsla::im2col, the reference lowering (DESIGN.md §12).
+/// forward, run the direct kernel (convDirect) over a zero-bordered patch
+/// of the input; fast full forwards on wide maps lower through
+/// oppsla::im2col into the packed GEMM; training and --naive-kernels run
+/// im2col + matmul, the reference (DESIGN.md §12).
 class Conv2d : public Layer {
 public:
   Conv2d(size_t InC, size_t OutC, size_t Kernel, size_t Stride, size_t Pad,
@@ -42,12 +41,11 @@ public:
   /// the unfused layers in sequence (DESIGN.md §12).
   Tensor forwardFused(const Tensor &In, const BatchNorm2d *Bn, bool Relu);
 
-  /// Delta flavor of forwardFused (Layer::forwardDelta): the gather table
-  /// fills only the output columns inside the dirty windows, every delta
-  /// item of the batch shares one packed GEMM with the same fused
-  /// epilogue, and the results are scattered over copies of \p Ref. Each
-  /// output element is the same fma chain as in forwardFused, so the bytes
-  /// are identical.
+  /// Delta flavor of forwardFused (Layer::forwardDelta): the direct
+  /// kernel recomputes only the output pixels inside each item's dirty
+  /// window, with the same fused epilogue, straight into that item's copy
+  /// of \p Ref. Each output element is the same fma chain as in
+  /// forwardFused, so the bytes are identical.
   Tensor forwardFusedDelta(const Tensor &In, const BatchNorm2d *Bn, bool Relu,
                            DeltaPass &Pass, const Tensor &Ref);
 
@@ -72,16 +70,20 @@ public:
   size_t scratchReallocs() const { return ScratchReallocCount; }
 
 private:
-  /// Lower \p In into \p Cols (capacity-reusing) and return the
-  /// {N,OutC,OH,OW} output tensor shell shared by all forward flavors.
-  /// Fast inference on narrow maps walks the gather table, everything else
-  /// runs im2col; both write the same bytes.
-  Tensor prepareForward(const Tensor &In, bool Train, size_t &N, size_t &OH,
-                        size_t &OW, Tensor *&Cols);
-  /// The gather table for an H x W input, rebuilt when the geometry
-  /// changed since the last call.
-  const int32_t *gatherTable(size_t H, size_t W, size_t OH, size_t OW);
+  /// {N, OutC, OH, OW} for input \p In.
+  Shape outputShape(const Tensor &In) const;
+  /// im2col of \p In into CachedCols (training, recorded for backward) or
+  /// ScratchCols, capacity-reusing.
+  const Tensor &lower(const Tensor &In, bool Train);
+  /// Runs convDirect over output window \p Win of one batch item: \p Item
+  /// is its {InC, H, W} input, \p OutItem its {OutC, OH, OW} output. Reads
+  /// the input in place when the window's receptive field lies inside the
+  /// map, else a copy of the field in Patch, zero outside the map.
+  void directWindow(const float *Item, size_t H, size_t W,
+                    const DeltaWindow &Win, float *OutItem, size_t OH,
+                    size_t OW, const GemmEpilogue &Ep);
   void packWeight();
+  void packDirectWeight();
   /// The fused epilogue for this layer's bias plus \p Bn and \p Relu.
   GemmEpilogue fusedEpilogue(const BatchNorm2d *Bn, bool Relu);
   /// Counts a scratch growth event in the layer and in telemetry.
@@ -98,21 +100,14 @@ private:
   // alternating batch shapes do not thrash the allocator.
   Tensor ScratchCols, ScratchOut;
   size_t ScratchReallocCount = 0;
-  // Gather table of the last fast inference geometry (GatherH x GatherW):
-  // entry Row * OH*OW + P is the offset inside one {InC, H, W} batch item
-  // of the value im2col writes at row Row for output pixel P, or -1 where
-  // that value is zero padding. Models are cloned per worker thread, so
-  // the lazy rebuild races nothing.
-  std::vector<int32_t> GatherTable;
-  size_t GatherH = 0, GatherW = 0;
-  // (input item offset, output pixel) of each dirty column of a delta
-  // forward, item-major, each window row-major.
-  std::vector<std::pair<size_t, size_t>> DirtyColumns;
-  // Fast-kernel scratch: Weight packed into MR-row panels (rebuilt every
-  // forward — packing is O(M*K) against the GEMM's O(M*K*N), and the
-  // optimizer mutates Weight in place between forwards) and the folded
-  // BatchNorm affine coefficients for the fused epilogue.
-  std::vector<float> PackedWeight;
+  // Receptive-field patch of the direct kernel's current window.
+  std::vector<float> Patch;
+  // Fast-kernel scratch: Weight packed into MR-row panels for the GEMM and
+  // k-major for the direct kernel (each rebuilt on every forward that uses
+  // it — packing is O(M*K) against the kernels' O(M*K*N), and the optimizer
+  // mutates Weight in place between forwards) and the folded BatchNorm
+  // affine coefficients for the fused epilogue.
+  std::vector<float> PackedWeight, DirectWeight;
   std::vector<float> FusedScale, FusedShift;
 };
 

@@ -71,6 +71,41 @@ TEST(QueryEngine, LogicalVsPhysicalSplit) {
   EXPECT_EQ(Engine.cache().hits(), 1u);
 }
 
+TEST(QueryEngine, CacheKeySeparatesShapeAndSignedZero) {
+  // The cache key hashes the pixel bytes and folds in H and W: the same
+  // bytes under a swapped H x W, and images that differ only in the sign
+  // of a zero, are distinct queries. Each pays its own forward, and none
+  // displaces another from the cache.
+  const Image Wide = randomImage(2, 3, 41);
+  Image Tall(3, 2);
+  Tall.raw() = Wide.raw();
+  Image PosZero = randomImage(4, 4, 42);
+  PosZero.raw()[5] = 0.0f;
+  Image NegZero = PosZero;
+  NegZero.raw()[5] = -0.0f;
+  EXPECT_NE(ScoreCache::key(Wide), ScoreCache::key(Tall));
+  EXPECT_NE(ScoreCache::key(PosZero), ScoreCache::key(NegZero));
+  const std::vector<Image> Imgs{Wide, Tall, PosZero, NegZero};
+
+  RecordingClassifier Inner = makeInner();
+  QueryEngine Engine(Inner, config(8, 64));
+  for (const Image &Img : Imgs)
+    Engine.scores(Img);
+  EXPECT_EQ(Inner.calls(), 4u);
+  for (const Image &Img : Imgs)
+    Engine.scores(Img); // all four are still resident
+  EXPECT_EQ(Inner.calls(), 4u);
+  EXPECT_EQ(Engine.cache().collisions(), 0u);
+
+  // One submission: no image is taken for a duplicate of another.
+  RecordingClassifier BatchInner = makeInner();
+  QueryEngine BatchEngine(BatchInner, config(8, 64));
+  BatchEngine.scoresBatch(std::span<const Image>(Imgs));
+  EXPECT_EQ(BatchInner.calls(), 4u);
+  BatchEngine.scoresBatch(std::span<const Image>(Imgs));
+  EXPECT_EQ(BatchInner.calls(), 4u);
+}
+
 TEST(QueryEngine, BatchChunksByConfiguredSize) {
   RecordingClassifier Inner = makeInner();
   QueryEngine Engine(Inner, config(8, 64));

@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -301,13 +302,19 @@ TEST(StatsServer, ScrapesMidSweep) {
   ASSERT_TRUE(S.start(0));
 
   // A worker publishing progress while the main thread scrapes — the
-  // /healthz snapshot must always be internally consistent JSON.
+  // /healthz snapshot must always be internally consistent JSON. Scraping
+  // starts once the worker has published its first item: under load the
+  // 20 scrapes could otherwise all finish before the worker ran.
   std::atomic<bool> Stop{false};
+  std::promise<void> FirstItem;
   telemetry::progressBegin("statstest-sweep", 1000);
-  std::thread Worker([&Stop] {
+  std::thread Worker([&Stop, &FirstItem] {
+    telemetry::progressItem(true, true, 2);
+    FirstItem.set_value();
     while (!Stop.load())
       telemetry::progressItem(true, true, 2);
   });
+  FirstItem.get_future().wait();
 
   bool SawProgress = false;
   for (int I = 0; I != 20; ++I) {
