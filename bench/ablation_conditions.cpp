@@ -113,7 +113,7 @@ void robustnessAblation(const BenchScale &Scale, size_t Threads) {
 } // namespace
 
 int main(int argc, char **argv) {
-  // --trace-out / --metrics-out / --layer-timing (see support/Metrics.h).
+  // --trace-out / --metrics-out / --profile (see support/Metrics.h).
   const ArgParse Args(argc, argv);
   if (!telemetry::configureFromArgs(Args))
     return 1;

@@ -32,7 +32,7 @@
 using namespace oppsla;
 
 int main(int argc, char **argv) {
-  // --trace-out / --metrics-out / --layer-timing (see support/Metrics.h).
+  // --trace-out / --metrics-out / --profile (see support/Metrics.h).
   const ArgParse Args(argc, argv);
   if (!telemetry::configureFromArgs(Args))
     return 1;

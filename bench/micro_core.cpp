@@ -188,8 +188,7 @@ int main(int argc, char **argv) {
     const char *A = argv[I];
     // "--profile" also matches "--profile-out", "--stats-port" also
     // matches "--stats-port-file"; all of them are ours, not benchmark's.
-    const bool Telemetry = std::strncmp(A, "--layer-timing", 14) == 0 ||
-                           std::strncmp(A, "--metrics-out", 13) == 0 ||
+    const bool Telemetry = std::strncmp(A, "--metrics-out", 13) == 0 ||
                            std::strncmp(A, "--trace-out", 11) == 0 ||
                            std::strncmp(A, "--json-out", 10) == 0 ||
                            std::strncmp(A, "--profile", 9) == 0 ||

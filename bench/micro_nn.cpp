@@ -24,7 +24,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
-#include <iostream>
 
 using namespace oppsla;
 
@@ -119,10 +118,9 @@ public:
 } // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): strips the telemetry flags
-// (--layer-timing / --metrics-out / --trace-out / --json-out / profiler
-// flags) before handing argv to google-benchmark, and prints the per-layer
-// forward time breakdown collected under --layer-timing after the
-// benchmarks ran.
+// (--metrics-out / --trace-out / --json-out / profiler flags) before
+// handing argv to google-benchmark; --profile-out captures the per-layer
+// forward spans.
 int main(int argc, char **argv) {
   const ArgParse Args(argc, argv);
   if (!oppsla::telemetry::configureFromArgs(Args))
@@ -133,8 +131,7 @@ int main(int argc, char **argv) {
     const char *A = argv[I];
     // "--profile" also matches "--profile-out", "--stats-port" also
     // matches "--stats-port-file"; all of them are ours, not benchmark's.
-    const bool Telemetry = std::strncmp(A, "--layer-timing", 14) == 0 ||
-                           std::strncmp(A, "--metrics-out", 13) == 0 ||
+    const bool Telemetry = std::strncmp(A, "--metrics-out", 13) == 0 ||
                            std::strncmp(A, "--trace-out", 11) == 0 ||
                            std::strncmp(A, "--json-out", 10) == 0 ||
                            std::strncmp(A, "--profile", 9) == 0 ||
@@ -158,10 +155,6 @@ int main(int argc, char **argv) {
   CaptureReporter Reporter;
   benchmark::RunSpecifiedBenchmarks(&Reporter);
   benchmark::Shutdown();
-
-  const std::string LayerReport = oppsla::telemetry::layerTimingReport();
-  if (!LayerReport.empty())
-    std::cout << "\n" << LayerReport;
 
   BenchJson BJ("micro_nn", BenchScale::fromEnv().Name, Args);
   for (const auto &[Name, RealTime] : Reporter.Times)

@@ -78,7 +78,7 @@ std::vector<Program> randomBaselinePrograms(NNClassifier &Victim,
 } // namespace
 
 int main(int argc, char **argv) {
-  // --trace-out / --metrics-out / --layer-timing (see support/Metrics.h).
+  // --trace-out / --metrics-out / --profile (see support/Metrics.h).
   const ArgParse Args(argc, argv);
   if (!telemetry::configureFromArgs(Args))
     return 1;

@@ -9,7 +9,6 @@
 #include "support/Metrics.h"
 #include "support/Profiler.h"
 #include "support/Trace.h"
-#include "tensor/Gemm.h"
 
 #include <algorithm>
 #include <cstring>
@@ -250,10 +249,7 @@ void QueryEngine::forwardUnique(std::span<const Image> Imgs,
   if (NumChunks > 1 && ensureWorkers()) {
     // Worker T owns clone T-1 (worker 0 reuses the inner classifier);
     // chunks are assigned round-robin so each classifier instance is used
-    // by exactly one task chain at a time. Chunk-level parallelism is the
-    // better use of the thread budget here, so each worker pins its GEMM
-    // column fan-out to one thread (results are identical either way —
-    // the kernels are deterministic at any split).
+    // by exactly one task chain at a time.
     const size_t W = Config.Threads;
     // Engine pool threads outlive any one job: hand each task the
     // submitting thread's ambient profile root and trace id so forward
@@ -266,7 +262,6 @@ void QueryEngine::forwardUnique(std::span<const Image> Imgs,
       Futures.push_back(Pool->submit([&, C, T] {
         telemetry::ProfileTaskScope Task(ProfRoot);
         telemetry::TraceContextScope Trace(TraceId);
-        kernels::ScopedColumnThreads Pin(1);
         for (size_t K = T; K < NumChunks; K += W)
           RunChunk(*C, K);
       }));
@@ -276,9 +271,7 @@ void QueryEngine::forwardUnique(std::span<const Image> Imgs,
     return;
   }
 
-  // Single chunk (or no workers): donate the engine's thread budget to
-  // the GEMM column dimension instead.
-  kernels::ScopedColumnThreads Donate(Config.Threads);
+  // A single chunk (or no workers) runs on the calling thread.
   for (size_t K = 0; K != NumChunks; ++K)
     RunChunk(Inner, K);
 }

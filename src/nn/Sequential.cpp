@@ -9,11 +9,9 @@
 #include "nn/Activations.h"
 #include "nn/BatchNorm2d.h"
 #include "nn/Conv2d.h"
-#include "support/Metrics.h"
 #include "support/Profiler.h"
 #include "tensor/Gemm.h"
 
-#include <chrono>
 #include <cstdio>
 
 using namespace oppsla;
@@ -24,17 +22,6 @@ namespace {
 /// is instrumented so per-layer times partition the total instead of
 /// double-counting nested spans.
 thread_local int ForwardDepth = 0;
-
-/// `nn.forward.<ii>.<layer>` counter pair (zero-padded index so the
-/// registry's lexicographic order is layer order).
-void recordLayerTime(size_t Index, const std::string &LayerName,
-                     uint64_t Us) {
-  char Key[160];
-  std::snprintf(Key, sizeof(Key), "nn.forward.%02zu.%s", Index,
-                LayerName.c_str());
-  telemetry::counter(std::string(Key) + ".us").inc(Us);
-  telemetry::counter(std::string(Key) + ".calls").inc();
-}
 
 } // namespace
 
@@ -114,10 +101,8 @@ Tensor Sequential::run(const Tensor &In, bool Train, DeltaPass *Pass) {
   assert((!Pass || StepRefs.size() == FusionPlan.size()) &&
          "delta forward without a captured reference");
 
-  const bool Timing = telemetry::layerTimingEnabled();
-  const bool Prof = telemetry::profilingEnabled();
-  const bool Instrument = (Timing || Prof) && ForwardDepth == 0;
-  if (Instrument && Prof && SpanNames.size() != Layers.size()) {
+  const bool Instrument = telemetry::profilingEnabled() && ForwardDepth == 0;
+  if (Instrument && SpanNames.size() != Layers.size()) {
     // Models are cloned per worker thread, so the lazy build races
     // nothing: only the owning thread runs this forward.
     SpanNames.clear();
@@ -131,32 +116,20 @@ Tensor Sequential::run(const Tensor &In, bool Train, DeltaPass *Pass) {
   }
   if (Instrument)
     ++ForwardDepth;
-  telemetry::ProfileScope ForwardSpan(Instrument && Prof ? "nn.forward"
-                                                         : nullptr);
+  telemetry::ProfileScope ForwardSpan(Instrument ? "nn.forward" : nullptr);
   // The first step reads In itself, not a copy; every later step reads X.
   Tensor X;
   for (size_t I = 0, Step = 0; I != Layers.size(); ++Step) {
     const Tensor &Cur = I == 0 ? In : X;
-    // A fused step is attributed to its conv layer's span/counter; the
-    // folded BatchNorm/ReLU layers simply do not appear in that run.
-    telemetry::ProfileScope LayerSpan(Instrument && Prof ? SpanNames[I]
-                                                         : nullptr);
-    const auto T0 = Instrument && Timing
-                        ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point();
+    // A fused step is attributed to its conv layer's span; the folded
+    // BatchNorm/ReLU layers simply do not appear in that run.
+    telemetry::ProfileScope LayerSpan(Instrument ? SpanNames[I] : nullptr);
     size_t Count = 1;
     if (Fast) {
       Count = FusionPlan[Step].Count;
       X = runStep(Step, Cur, Pass);
     } else {
       X = Layers[I]->forward(Cur, Train);
-    }
-    if (Instrument && Timing) {
-      const auto Us =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - T0)
-              .count();
-      recordLayerTime(I, Layers[I]->name(), static_cast<uint64_t>(Us));
     }
     I += Count;
   }

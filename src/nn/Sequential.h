@@ -95,7 +95,7 @@ private:
   void buildFusionPlan();
 
   /// The shared layer loop of forward and forwardDelta (\p Pass non-null),
-  /// instrumented with the per-layer spans and timing counters.
+  /// instrumented with the per-layer profiler spans.
   Tensor run(const Tensor &In, bool Train, DeltaPass *Pass);
   /// Runs fusion-plan step \p S at fast-kernel inference.
   Tensor runStep(size_t S, const Tensor &X, DeltaPass *Pass);

@@ -8,25 +8,14 @@
 
 #include "serve/JobRunner.h"
 #include "support/Http.h"
-#include "support/Logging.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
-#include <thread>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
 
 using namespace oppsla;
 using namespace oppsla::serve;
@@ -100,7 +89,10 @@ std::string serve::jobStatusJson(Job &J) {
 
 ServeServer::ServeServer(JobQueue &Queue, JobRunner &Runner,
                          ServeServerConfig Config)
-    : Queue(Queue), Runner(Runner), Config(Config) {}
+    : Queue(Queue), Runner(Runner), Config(Config),
+      Http([this](int Client, const http::Request &Req) {
+        return handle(Client, Req);
+      }) {}
 
 int ServeServer::retryAfterSeconds() const {
   const double Median = Runner.medianServiceSeconds();
@@ -114,89 +106,9 @@ int ServeServer::retryAfterSeconds() const {
       std::min(3600.0, std::max(1.0, std::ceil(Est))));
 }
 
-ServeServer::~ServeServer() { stop(); }
-
-bool ServeServer::start() {
-  if (ListenFd >= 0) {
-    logError() << "serve: server already running on port " << BoundPort;
-    return false;
-  }
-  const int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0) {
-    logError() << "serve: socket() failed: " << std::strerror(errno);
-    return false;
-  }
-  const int One = 1;
-  ::setsockopt(Fd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-
-  sockaddr_in Addr = {};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(Config.Port);
-  if (::bind(Fd, reinterpret_cast<const sockaddr *>(&Addr), sizeof(Addr)) <
-      0) {
-    logError() << "serve: bind(127.0.0.1:" << Config.Port
-               << ") failed: " << std::strerror(errno);
-    ::close(Fd);
-    return false;
-  }
-  if (::listen(Fd, 64) < 0) {
-    logError() << "serve: listen() failed: " << std::strerror(errno);
-    ::close(Fd);
-    return false;
-  }
-  sockaddr_in Bound = {};
-  socklen_t BoundLen = sizeof(Bound);
-  if (::getsockname(Fd, reinterpret_cast<sockaddr *>(&Bound), &BoundLen) <
-      0) {
-    logError() << "serve: getsockname() failed: " << std::strerror(errno);
-    ::close(Fd);
-    return false;
-  }
-  BoundPort = ntohs(Bound.sin_port);
-  ListenFd = Fd;
-  Stopping.store(false, std::memory_order_relaxed);
-  Thread = std::thread([this] { serveLoop(); });
-  return true;
-}
-
-void ServeServer::serveLoop() {
-  for (;;) {
-    const int Client = ::accept(ListenFd, nullptr, nullptr);
-    if (Client < 0) {
-      if (errno == EINTR)
-        continue;
-      return;
-    }
-    if (Stopping.load(std::memory_order_relaxed)) {
-      ::close(Client);
-      return;
-    }
-    timeval Timeout = {};
-    Timeout.tv_sec = 5;
-    ::setsockopt(Client, SOL_SOCKET, SO_RCVTIMEO, &Timeout,
-                 sizeof(Timeout));
-    ::setsockopt(Client, SOL_SOCKET, SO_SNDTIMEO, &Timeout,
-                 sizeof(Timeout));
-
-    http::Request Req;
-    std::string ReqError;
-    if (http::readRequest(Client, Req, ReqError))
-      handle(Client, Req);
-    ::close(Client);
-  }
-}
-
-void ServeServer::handle(int Client, const http::Request &Req) {
+bool ServeServer::handle(int Client, const http::Request &Req) {
   const std::vector<std::string> Seg = pathSegments(Req.Target);
 
-  // Observability endpoints shared with the stats server's vocabulary.
-  if (Req.Method == "GET" && Seg.size() == 1 && Seg[0] == "metrics") {
-    http::sendResponse(Client, 200,
-                       "text/plain; version=0.0.4; charset=utf-8",
-                       telemetry::prometheusTextExposition());
-    return;
-  }
   if (Req.Method == "GET" && Seg.size() == 1 && Seg[0] == "healthz") {
     std::string Out = "{\"queue\":{\"depth\":" +
                       std::to_string(Queue.depth()) + ",\"capacity\":" +
@@ -213,38 +125,12 @@ void ServeServer::handle(int Client, const http::Request &Req) {
     }
     Out += "]}";
     http::sendResponse(Client, 200, "application/json", Out);
-    return;
-  }
-  if (Req.Method == "GET" && Seg.size() == 1 && Seg[0] == "logz") {
-    size_t N = 100;
-    const std::string NStr = http::queryParam(Req.Target, "n");
-    if (!NStr.empty())
-      N = static_cast<size_t>(std::strtoull(NStr.c_str(), nullptr, 10));
-    LogLevel Level = LogLevel::Debug;
-    const std::string LevelStr = http::queryParam(Req.Target, "level");
-    if (!LevelStr.empty() && !parseLogLevel(LevelStr, Level)) {
-      http::sendResponse(Client, 400, "application/json",
-                         errorJson("unknown level '" + LevelStr +
-                                   "' (want error|warn|info|debug)"));
-      return;
-    }
-    http::sendResponse(Client, 200, "application/x-ndjson",
-                       logRingJsonl(std::min<size_t>(N, 1024), Level));
-    return;
-  }
-  if (Req.Method == "GET" && Seg.size() == 1 && Seg[0] == "quitquitquit") {
-    Quit.store(true, std::memory_order_relaxed);
-    http::sendResponse(Client, 200, "text/plain; charset=utf-8",
-                       "quitting\n");
-    return;
+    return true;
   }
 
   // The job API proper: /v1/jobs[...]
-  if (Seg.size() < 2 || Seg[0] != "v1" || Seg[1] != "jobs") {
-    http::sendResponse(Client, 404, "application/json",
-                       errorJson("not found"));
-    return;
-  }
+  if (Seg.size() < 2 || Seg[0] != "v1" || Seg[1] != "jobs")
+    return false;
 
   if (Seg.size() == 2 && Req.Method == "POST") {
     JobSpec Spec;
@@ -252,7 +138,7 @@ void ServeServer::handle(int Client, const http::Request &Req) {
     if (!parseJobSpec(Req.Body, Spec, Error)) {
       http::sendResponse(Client, 400, "application/json",
                          errorJson(Error));
-      return;
+      return true;
     }
     // Adopt the client's trace context when the header parses; the spec
     // body's "trace" key (checkpoint round-trips) loses to the header.
@@ -267,7 +153,7 @@ void ServeServer::handle(int Client, const http::Request &Req) {
           errorJson("queue full (capacity " +
                     std::to_string(Queue.capacity()) + ")"),
           {{"Retry-After", std::to_string(retryAfterSeconds())}});
-      return;
+      return true;
     }
     submittedCounter().inc();
     if (telemetry::traceEnabled())
@@ -280,7 +166,7 @@ void ServeServer::handle(int Client, const http::Request &Req) {
       Out += ",\"trace_id\":\"" + J->Trace->context().TraceId + "\"";
     Out += "}";
     http::sendResponse(Client, 202, "application/json", Out);
-    return;
+    return true;
   }
   if (Seg.size() == 2 && Req.Method == "GET") {
     std::string Out = "{\"queue\":{\"depth\":" +
@@ -295,26 +181,26 @@ void ServeServer::handle(int Client, const http::Request &Req) {
     }
     Out += "]}";
     http::sendResponse(Client, 200, "application/json", Out);
-    return;
+    return true;
   }
 
   uint64_t Id = 0;
   if (Seg.size() < 3 || !parseId(Seg[2], Id)) {
     http::sendResponse(Client, 404, "application/json",
                        errorJson("not found"));
-    return;
+    return true;
   }
   std::shared_ptr<Job> J = Queue.find(Id);
   if (!J) {
     http::sendResponse(Client, 404, "application/json",
                        errorJson("no job " + std::to_string(Id)));
-    return;
+    return true;
   }
 
   if (Seg.size() == 3 && Req.Method == "GET") {
     http::sendResponse(Client, 200, "application/json",
                        jobStatusJson(*J));
-    return;
+    return true;
   }
   if (Seg.size() == 3 && Req.Method == "DELETE") {
     if (!Queue.cancel(Id)) {
@@ -323,21 +209,21 @@ void ServeServer::handle(int Client, const http::Request &Req) {
           errorJson("job " + std::to_string(Id) + " already " +
                     jobStateName(
                         J->State.load(std::memory_order_relaxed))));
-      return;
+      return true;
     }
     http::sendResponse(Client, 200, "application/json",
                        jobStatusJson(*J));
-    return;
+    return true;
   }
   if (Seg.size() == 4 && Seg[3] == "trace" && Req.Method == "GET") {
     if (!J->Trace) {
       http::sendResponse(Client, 404, "application/json",
                          errorJson("job tracing is disabled"));
-      return;
+      return true;
     }
     http::sendResponse(Client, 200, "application/json",
                        J->Trace->chromeTraceJson());
-    return;
+    return true;
   }
   if (Seg.size() == 4 && Seg[3] == "result" && Req.Method == "GET") {
     if (J->State.load(std::memory_order_relaxed) != JobState::Done) {
@@ -347,7 +233,7 @@ void ServeServer::handle(int Client, const http::Request &Req) {
                     jobStateName(
                         J->State.load(std::memory_order_relaxed)) +
                     ", result not available"));
-      return;
+      return true;
     }
     std::ifstream In(J->ResultPath, std::ios::binary);
     std::ostringstream Buf;
@@ -355,37 +241,14 @@ void ServeServer::handle(int Client, const http::Request &Req) {
     if (!In) {
       http::sendResponse(Client, 500, "application/json",
                          errorJson("cannot read " + J->ResultPath));
-      return;
+      return true;
     }
     http::sendResponse(Client, 200, "application/octet-stream",
                        Buf.str());
-    return;
+    return true;
   }
 
   http::sendResponse(Client, 405, "application/json",
                      errorJson("method not allowed"));
-}
-
-bool ServeServer::waitQuit(double TimeoutSeconds) {
-  const auto Start = std::chrono::steady_clock::now();
-  while (!quitRequested()) {
-    if (TimeoutSeconds > 0.0 &&
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      Start)
-                .count() >= TimeoutSeconds)
-      break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return quitRequested();
-}
-
-void ServeServer::stop() {
-  if (ListenFd < 0)
-    return;
-  Stopping.store(true, std::memory_order_relaxed);
-  ::shutdown(ListenFd, SHUT_RDWR);
-  ::close(ListenFd);
-  if (Thread.joinable())
-    Thread.join();
-  ListenFd = -1;
+  return true;
 }

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The attack-as-a-service HTTP front end (`oppsla serve`). Built on the
-/// same shared plumbing as the stats server (support/Http.h): raw POSIX
-/// sockets, one accept thread, 127.0.0.1 only. Endpoints:
+/// The attack-as-a-service HTTP front end (`oppsla serve`): the job
+/// routes below in front of the shared http::Server (support/Http.h),
+/// which also answers /metrics (including the serve.* queue/job
+/// instruments), /profile, /ledger, /logz and /quitquitquit.
 ///
 ///   POST   /v1/jobs             submit a job (JSON spec; see
 ///                               parseJobSpec). 202 + {"id":N} on
@@ -23,12 +24,9 @@
 ///                               is off; partial for running jobs);
 ///   DELETE /v1/jobs/<id>        cancel (queued: immediate; running:
 ///                               honoured at the next shard boundary);
-///   GET    /metrics             Prometheus exposition incl. the serve.*
-///                               queue/job instruments;
 ///   GET    /healthz             queue depth, in-flight shards, and
-///                               per-job progress as JSON;
-///   GET    /logz?n=..&level=..  newest log-ring records as JSONL;
-///   GET    /quitquitquit        ask the server loop to exit.
+///                               per-job progress as JSON (in place of
+///                               the shared run-progress document).
 ///
 /// Submissions honour a W3C `traceparent` request header: the job adopts
 /// the client's trace context (echoed as "trace_id" in the 202 body and
@@ -43,17 +41,12 @@
 #define OPPSLA_SERVE_SERVESERVER_H
 
 #include "serve/JobQueue.h"
+#include "support/Http.h"
 
-#include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 
 namespace oppsla {
-namespace http {
-struct Request;
-} // namespace http
-
 namespace serve {
 
 class JobRunner;
@@ -67,33 +60,32 @@ class ServeServer {
 public:
   ServeServer(JobQueue &Queue, JobRunner &Runner,
               ServeServerConfig Config = ServeServerConfig());
-  ~ServeServer();
 
   /// Binds and starts the accept thread. \returns false after logging on
   /// socket failure.
-  bool start();
+  bool start() { return Http.start(Config.Port); }
 
-  uint16_t port() const { return BoundPort; }
-  bool running() const { return ListenFd >= 0; }
+  uint16_t port() const { return Http.port(); }
 
   /// True once a client requested /quitquitquit.
-  bool quitRequested() const {
-    return Quit.load(std::memory_order_relaxed);
-  }
+  bool quitRequested() const { return Http.quitRequested(); }
   /// Blocks until quitRequested() or \p TimeoutSeconds elapsed (0 = no
   /// cap). \returns quitRequested().
-  bool waitQuit(double TimeoutSeconds);
+  bool waitQuit(double TimeoutSeconds) {
+    return Http.waitQuit(TimeoutSeconds);
+  }
 
   /// Stops accepting and joins the thread. Idempotent. Does not touch the
   /// queue or runner.
-  void stop();
+  void stop() { Http.stop(); }
 
   ServeServer(const ServeServer &) = delete;
   ServeServer &operator=(const ServeServer &) = delete;
 
 private:
-  void serveLoop();
-  void handle(int Client, const http::Request &Req);
+  /// The job routes and the serve /healthz; false for anything else, which
+  /// the shared routes answer.
+  bool handle(int Client, const http::Request &Req);
   /// Seconds to advertise on a 429: median observed service time scaled
   /// by (queue depth + 1) / workers, clamped to [1, 3600]; the configured
   /// constant until the first job completes.
@@ -102,11 +94,7 @@ private:
   JobQueue &Queue;
   JobRunner &Runner;
   ServeServerConfig Config;
-  int ListenFd = -1;
-  uint16_t BoundPort = 0;
-  std::thread Thread;
-  std::atomic<bool> Quit{false};
-  std::atomic<bool> Stopping{false};
+  http::Server Http; ///< last, so its thread stops before the rest goes
 };
 
 /// One job's status document (shared by GET /v1/jobs and /v1/jobs/<id>).

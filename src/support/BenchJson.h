@@ -48,7 +48,7 @@ struct BenchJson {
   void set(const std::string &Key, double Value) { Metrics[Key] = Value; }
 
   /// Copies every telemetry counter of the process into Metrics, skipping
-  /// the high-cardinality per-layer `nn.forward.*` timing counters.
+  /// the `nn.forward.*` delta/full image counters.
   void addTelemetryCounters();
 
   /// Renders the artifact as a JSON document (trailing newline included).

@@ -52,8 +52,6 @@ void appendUInt(std::string &Out, uint64_t V) {
   Out += Buf;
 }
 
-std::atomic<bool> LayerTimingFlag{false};
-
 /// Path for the deferred --metrics-out snapshot (finalizeTelemetry()).
 std::string &pendingMetricsPath() {
   static std::string Path;
@@ -453,67 +451,6 @@ bool oppsla::telemetry::writeMetricsJson(const std::string &Path) {
   return Ok;
 }
 
-void oppsla::telemetry::setLayerTimingEnabled(bool Enabled) {
-  LayerTimingFlag.store(Enabled, std::memory_order_relaxed);
-}
-
-bool oppsla::telemetry::layerTimingEnabled() {
-  return LayerTimingFlag.load(std::memory_order_relaxed);
-}
-
-std::string oppsla::telemetry::layerTimingReport() {
-  // Collect the nn.forward.<i>.<layer>.{us,calls} counter pairs out of the
-  // snapshot-ordered map; report in layer order with share of total.
-  struct Row {
-    std::string Layer;
-    uint64_t Us = 0;
-    uint64_t Calls = 0;
-  };
-  std::map<std::string, Row> Rows;
-  const std::string Prefix = "nn.forward.";
-  for (const auto &[Name, Value] :
-       MetricsRegistry::instance().counterValues()) {
-    if (Name.compare(0, Prefix.size(), Prefix) != 0)
-      continue;
-    const bool IsUs = Name.ends_with(".us");
-    const bool IsCalls = Name.ends_with(".calls");
-    if (!IsUs && !IsCalls)
-      continue;
-    const std::string Base = Name.substr(
-        Prefix.size(), Name.size() - Prefix.size() - (IsUs ? 3 : 6));
-    Row &R = Rows[Base];
-    R.Layer = Base;
-    if (IsUs)
-      R.Us = Value;
-    else
-      R.Calls = Value;
-  }
-  if (Rows.empty())
-    return "";
-  uint64_t TotalUs = 0;
-  for (const auto &[_, R] : Rows)
-    TotalUs += R.Us;
-  std::ostringstream Out;
-  Out << "per-layer forward time:\n";
-  for (const auto &[_, R] : Rows) {
-    const double AvgUs =
-        R.Calls ? static_cast<double>(R.Us) / static_cast<double>(R.Calls)
-                : 0.0;
-    const double Share =
-        TotalUs ? 100.0 * static_cast<double>(R.Us) /
-                      static_cast<double>(TotalUs)
-                : 0.0;
-    char Buf[160];
-    std::snprintf(Buf, sizeof(Buf),
-                  "  %-28s calls=%-8" PRIu64 " total=%8.3f ms  avg=%9.1f us"
-                  "  %5.1f%%\n",
-                  R.Layer.c_str(), R.Calls,
-                  static_cast<double>(R.Us) / 1000.0, AvgUs, Share);
-    Out << Buf;
-  }
-  return Out.str();
-}
-
 namespace {
 
 std::atomic<bool> ExitHandlersInstalled{false};
@@ -602,8 +539,6 @@ bool oppsla::telemetry::configureFromArgs(const ArgParse &Args) {
   }
   const std::string MetricsOut = Args.get("metrics-out", "");
   pendingMetricsPath() = MetricsOut;
-  if (!MetricsOut.empty() || Args.getFlag("layer-timing"))
-    setLayerTimingEnabled(true);
   const std::string ProfileOut = Args.get("profile-out", "");
   pendingProfilePath() = ProfileOut;
   if (!ProfileOut.empty() || Args.getFlag("profile"))

@@ -196,28 +196,16 @@ private:
   std::chrono::steady_clock::time_point Start;
 };
 
-/// Per-layer forward timing gate for Sequential (off by default; guarded so
-/// the disabled path costs one relaxed load).
-void setLayerTimingEnabled(bool Enabled);
-bool layerTimingEnabled();
-
-/// Formats the `nn.forward.<i>.<layer>` counters recorded under layer
-/// timing as a per-layer table (calls, total ms, avg us, share). Empty
-/// string when no layer timings were recorded.
-std::string layerTimingReport();
-
 /// Applies the standard telemetry flags of \p Args:
 ///   --trace-out <path>    open the JSONL trace sink
 ///   --metrics-out <path>  write a metrics JSON snapshot at finalize
-///                         (also enables per-layer forward timing)
-///   --layer-timing        enable per-layer forward timing only
 ///   --profile             enable the hierarchical span profiler
 ///   --profile-out <path>  write folded stacks at finalize (implies
 ///                         --profile)
 ///   --hw-counters         attach perf_event hardware counters to every
 ///                         profiler span (implies --profile; no-op with a
 ///                         logged notice when perf_event_open is denied)
-///   --ledger <path>       register the bench ledger served by the stats
+///   --ledger <path>       register the bench ledger served by the HTTP
 ///                         server's GET /ledger endpoint
 /// When any file sink is configured, installs best-effort flush handlers
 /// (atexit + SIGINT/SIGTERM) so the sinks survive an interrupted run.

@@ -7,15 +7,12 @@
 #include "tensor/Gemm.h"
 
 #include "support/ArgParse.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 using namespace oppsla;
@@ -28,24 +25,6 @@ using namespace oppsla::kernels;
 namespace {
 
 std::atomic<bool> NaiveKernels{false};
-std::atomic<size_t> GlobalColumnThreads{1};
-
-// 0 = no override; ScopedColumnThreads installs a per-thread value so the
-// engine can re-budget kernels for the forward it is about to run without
-// racing other workers.
-thread_local size_t TLColumnThreads = 0;
-
-// One process-wide pool for GEMM column fan-out, sized to the hardware and
-// created on first threaded call. Shared across layers and forwards; tasks
-// are pure column-range computations so FIFO order never matters.
-ThreadPool &columnPool() {
-  static std::once_flag Once;
-  static std::unique_ptr<ThreadPool> Pool;
-  std::call_once(Once, [] {
-    Pool = std::make_unique<ThreadPool>(ThreadPool::hardwareThreads());
-  });
-  return *Pool;
-}
 
 } // namespace
 
@@ -54,24 +33,6 @@ bool kernels::naive() { return NaiveKernels.load(std::memory_order_relaxed); }
 void kernels::setNaive(bool Enabled) {
   NaiveKernels.store(Enabled, std::memory_order_relaxed);
 }
-
-size_t kernels::columnThreads() {
-  if (TLColumnThreads != 0)
-    return TLColumnThreads;
-  return GlobalColumnThreads.load(std::memory_order_relaxed);
-}
-
-void kernels::setColumnThreads(size_t Threads) {
-  GlobalColumnThreads.store(std::max<size_t>(1, Threads),
-                            std::memory_order_relaxed);
-}
-
-ScopedColumnThreads::ScopedColumnThreads(size_t Threads)
-    : Saved(TLColumnThreads) {
-  TLColumnThreads = std::max<size_t>(1, Threads);
-}
-
-ScopedColumnThreads::~ScopedColumnThreads() { TLColumnThreads = Saved; }
 
 void kernels::configureFromArgs(const ArgParse &Args) {
   setNaive(Args.getFlag("naive-kernels"));
@@ -234,20 +195,18 @@ void storeTile(const float Acc[MR][NR], float *Out, size_t M, size_t Plane,
   }
 }
 
-/// Computes output columns [J0, J1) of the whole product: for each K x NC
-/// B-block, sweep every packed A panel so the block stays cache-hot. A
-/// block's tail of fewer than NR columns is copied once into a zero-filled
-/// K x NR buffer so it, too, runs the full-width kernel; each column is its
-/// own fma chain and the padded columns are never stored, so the live
-/// columns keep their bytes.
+/// Computes the whole product: for each K x NC B-block, sweep every packed
+/// A panel so the block stays cache-hot. A block's tail of fewer than NR
+/// columns is copied once into a zero-filled K x NR buffer so it, too, runs
+/// the full-width kernel; each column is its own fma chain and the padded
+/// columns are never stored, so the live columns keep their bytes.
 void runColumns(const float *Pack, const float *B, float *Out, size_t M,
-                size_t K, size_t N, size_t Plane, size_t J0, size_t J1,
-                const GemmEpilogue &Ep) {
+                size_t K, size_t N, size_t Plane, const GemmEpilogue &Ep) {
   const size_t Panels = (M + MR - 1) / MR;
   float Acc[MR][NR];
   thread_local std::vector<float> Tail;
-  for (size_t Jc = J0; Jc < J1; Jc += NC) {
-    const size_t JcEnd = std::min(Jc + NC, J1);
+  for (size_t Jc = 0; Jc < N; Jc += NC) {
+    const size_t JcEnd = std::min(Jc + NC, N);
     const size_t TailCols = (JcEnd - Jc) % NR;
     const size_t TailJ = JcEnd - TailCols;
     if (TailCols != 0) {
@@ -384,28 +343,7 @@ void oppsla::gemmPackedConvOut(const float *Pack, const float *B, float *Out,
   const size_t N = NB * Plane;
   if (N == 0 || M == 0)
     return;
-  const size_t Threads = std::min(kernels::columnThreads(), (N + NC - 1) / NC);
-  if (Threads <= 1) {
-    runColumns(Pack, B, Out, M, K, N, Plane, 0, N, Ep);
-    return;
-  }
-  // Partition columns into Threads NC-aligned ranges. Each range writes a
-  // disjoint column set and every element's fma chain is independent of
-  // the partition, so results are identical at any thread count.
-  const size_t Blocks = (N + NC - 1) / NC;
-  const size_t PerRange = (Blocks + Threads - 1) / Threads;
-  std::vector<std::pair<size_t, size_t>> Ranges;
-  for (size_t T = 0; T != Threads; ++T) {
-    const size_t B0 = T * PerRange * NC;
-    const size_t B1 = std::min(N, (T + 1) * PerRange * NC);
-    if (B0 >= B1)
-      break;
-    Ranges.emplace_back(B0, B1);
-  }
-  columnPool().forEach(Ranges.size(), [&](size_t R) {
-    runColumns(Pack, B, Out, M, K, N, Plane, Ranges[R].first, Ranges[R].second,
-               Ep);
-  });
+  runColumns(Pack, B, Out, M, K, N, Plane, Ep);
 }
 
 void oppsla::gemmPacked(const float *Pack, const float *B, float *C, size_t M,

@@ -18,8 +18,6 @@
 ///   - convPackDirect / convDirect: a direct convolution over a padded
 ///     input patch for narrow maps and delta windows, where lowering the
 ///     input for the GEMM would cost more than the arithmetic;
-///   - column-range threading over the existing ThreadPool, deterministic
-///     at any thread count because output columns partition disjointly;
 ///   - the process-wide naive-kernels escape hatch behind the CLI's
 ///     --naive-kernels flag.
 ///
@@ -30,9 +28,10 @@
 /// B[k,j] from the input patch instead of an im2col matrix. The reference
 /// matmul and the BatchNorm2d inference loop use the same explicit
 /// std::fma chains, so the fast and naive paths agree bit for bit at any
-/// shape and thread count (enforced by tests/tensor/GemmTest.cpp,
+/// shape (enforced by tests/tensor/GemmTest.cpp,
 /// tests/nn/FusedForwardTest.cpp, and the cli_eval_kernels_identical
-/// ctest).
+/// ctest). The kernels run on the calling thread; parallelism lives above
+/// them, in the engine's chunks and the sweep's workers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,36 +52,14 @@ namespace kernels {
 inline constexpr size_t MR = 6;
 inline constexpr size_t NR = 16;
 
-/// Columns are handed to worker threads in NC-aligned ranges; NC is also
-/// the cache-blocking hint (a K x NC B-panel of the deepest zoo conv is
-/// ~330 KB, L2-resident on the targeted hosts).
+/// Cache-blocking width: the GEMM sweeps B in K x NC panels (the deepest
+/// zoo conv's is ~330 KB, L2-resident on the targeted hosts).
 inline constexpr size_t NC = 144; // multiple of NR
 
 /// When true, every conv/GEMM routes through the scalar reference loops
 /// in TensorOps.cpp (the CLI's --naive-kernels). Default false.
 bool naive();
 void setNaive(bool Enabled);
-
-/// Process-wide default worker-thread budget for column partitioning
-/// (1 = no threading). The engine overrides it per physical batch via
-/// ScopedColumnThreads.
-size_t columnThreads();
-void setColumnThreads(size_t Threads);
-
-/// Thread-local column-thread override for the current forward, used by
-/// the QueryEngine's batch-size-aware dispatch: chunk-parallel forwards
-/// pin their kernels to one thread, single-chunk forwards donate the
-/// engine's thread budget to the GEMM column loop.
-class ScopedColumnThreads {
-public:
-  explicit ScopedColumnThreads(size_t Threads);
-  ~ScopedColumnThreads();
-  ScopedColumnThreads(const ScopedColumnThreads &) = delete;
-  ScopedColumnThreads &operator=(const ScopedColumnThreads &) = delete;
-
-private:
-  size_t Saved;
-};
 
 /// Shared `--naive-kernels` wiring for the CLI and bench binaries.
 void configureFromArgs(const ArgParse &Args);

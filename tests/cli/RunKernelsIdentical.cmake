@@ -9,7 +9,8 @@
 #
 # Pass -DEXTRA_ARGS="--threads 4 --engine-threads 2" (etc.) to run both
 # sweeps under extra flags — the registered _mt variant uses this to cover
-# the threaded GEMM column split with the same byte-identity bar.
+# the threaded sweep and parallel engine chunks with the same byte-identity
+# bar.
 file(MAKE_DIRECTORY ${WORK_DIR})
 set(RUNS_FAST ${WORK_DIR}/runs_fast.jsonl)
 set(RUNS_NAIVE ${WORK_DIR}/runs_naive.jsonl)

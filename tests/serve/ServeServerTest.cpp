@@ -295,10 +295,3 @@ TEST_F(ServeServerTest, MetricsExposeWaitAndExecHistograms) {
   EXPECT_NE(M.Body.find("oppsla_serve_queue_wait_ms"), std::string::npos)
       << "queue-wait histogram missing from the exposition";
 }
-
-TEST_F(ServeServerTest, QuitEndpointReleasesWait) {
-  EXPECT_FALSE(Server->quitRequested());
-  EXPECT_FALSE(Server->waitQuit(0.05));
-  EXPECT_EQ(roundTrip("GET", "/quitquitquit").Status, 200);
-  EXPECT_TRUE(Server->waitQuit(5.0));
-}

@@ -8,7 +8,7 @@
 // scalar reference loops in TensorOps.cpp: both compute every output
 // element as the chain acc_k = fma(A[i,k], B[k,j], acc_{k-1}) with k
 // ascending, so EXPECT_EQ (not NEAR) is the right comparison everywhere
-// below, at any shape, epilogue, and thread count (DESIGN.md §12).
+// below, at any shape and epilogue (DESIGN.md §12).
 //
 //===----------------------------------------------------------------------===//
 
@@ -166,31 +166,6 @@ TEST(GemmConvOut, ScattersColumnsIntoNCHW) {
       for (size_t P = 0; P != Plane; ++P)
         ASSERT_EQ(Out.at(Bn, I, P, 0), RowMajor.at(I, Bn * Plane + P))
             << "batch " << Bn << " row " << I << " pixel " << P;
-}
-
-TEST(GemmThreading, BitIdenticalAtAnyColumnThreadCount) {
-  const size_t M = 17, K = 48, N = 800; // several NC blocks
-  const Tensor A = randomTensor({M, K}, 31);
-  const Tensor B = randomTensor({K, N}, 32);
-  const Tensor Serial = fastMatmul(A, B, GemmEpilogue{});
-  for (size_t Threads : {2, 3, 7}) {
-    kernels::ScopedColumnThreads Scope(Threads);
-    expectBitIdentical(fastMatmul(A, B, GemmEpilogue{}), Serial);
-  }
-}
-
-TEST(GemmThreading, ScopedOverrideRestores) {
-  const size_t Before = kernels::columnThreads();
-  {
-    kernels::ScopedColumnThreads Outer(4);
-    EXPECT_EQ(kernels::columnThreads(), 4u);
-    {
-      kernels::ScopedColumnThreads Inner(2);
-      EXPECT_EQ(kernels::columnThreads(), 2u);
-    }
-    EXPECT_EQ(kernels::columnThreads(), 4u);
-  }
-  EXPECT_EQ(kernels::columnThreads(), Before);
 }
 
 TEST(GemmKernels, NaiveToggle) {

@@ -46,7 +46,6 @@
 #include "support/Metrics.h"
 #include "support/Profiler.h"
 #include "support/Progress.h"
-#include "support/StatsServer.h"
 #include "support/Table.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
@@ -73,15 +72,16 @@ int usage() {
          "                  --threads N (parallel sweeps; 0 = all cores;\n"
          "                  results are identical for any thread count)\n"
          "  telemetry:      --trace-out t.jsonl  --metrics-out m.json\n"
-         "                  --layer-timing (per-layer forward timings)\n"
-         "                  --profile (span profiler call-tree report)\n"
+         "                  --profile (span profiler call-tree report,\n"
+         "                  including per-layer forward times)\n"
          "                  --profile-out p.folded (folded stacks for\n"
          "                  flamegraph.pl/speedscope; implies --profile)\n"
          "                  --progress (single updating stderr line)\n"
          "                  --hw-counters (perf_event IPC/miss rates per\n"
          "                  span; no-op where perf is unavailable)\n"
          "  stats server:   --stats-port N (HTTP /metrics /profile\n"
-         "                  /healthz /ledger on 127.0.0.1; 0 = ephemeral)\n"
+         "                  /healthz /ledger /logz on 127.0.0.1;\n"
+         "                  0 = ephemeral; `serve` answers them too)\n"
          "                  --ledger runs.jsonl (bench ledger served by\n"
          "                  GET /ledger; see tools/oppsla_bench)\n"
          "                  --stats-port-file f (write the bound port)\n"
@@ -392,9 +392,8 @@ int cmdEval(const ArgParse &Args) {
             << "  med #queries : " << Table::fmt(S.medianQueries(), 1)
             << "\n";
 
-  // Telemetry summary: queries-per-attack distribution, attack outcome
-  // counters, and (with --metrics-out/--layer-timing) per-layer forward
-  // times collected during this run.
+  // Telemetry summary: queries-per-attack distribution and attack outcome
+  // counters; with --profile, the call tree down to each layer's forward.
   std::cout << "metrics:\n";
   const std::string EngineSummary = engineMetricsSummary();
   if (!EngineSummary.empty())
@@ -403,9 +402,6 @@ int cmdEval(const ArgParse &Args) {
   std::string Line;
   while (std::getline(Report, Line))
     std::cout << "  " << Line << "\n";
-  const std::string LayerReport = telemetry::layerTimingReport();
-  if (!LayerReport.empty())
-    std::cout << LayerReport;
   printProfileReport("  ");
   return 0;
 }
@@ -808,7 +804,7 @@ int main(int argc, char **argv) {
 
   // Live introspection: --stats-port 0 picks a free port; the bound port
   // can be written to a file so scrapers do not have to guess.
-  telemetry::StatsServer Server;
+  http::Server Server;
   if (Args.has("stats-port")) {
     const auto Port =
         static_cast<uint16_t>(Args.getInt("stats-port", 0));
