@@ -10,8 +10,6 @@
 #include "support/Profiler.h"
 #include "support/Trace.h"
 
-#include <cassert>
-
 using namespace oppsla;
 
 Attack::~Attack() = default;
@@ -67,16 +65,4 @@ AttackResult Attack::attack(Classifier &N, const Image &X, size_t TrueClass,
          {"queries", R.Queries},
          {"duration_us", static_cast<uint64_t>(Seconds * 1e6)}});
   return R;
-}
-
-double oppsla::untargetedMargin(const std::vector<float> &Scores,
-                                size_t TrueClass) {
-  assert(TrueClass < Scores.size() && "true class out of range");
-  double BestOther = -1.0;
-  for (size_t I = 0; I != Scores.size(); ++I) {
-    if (I == TrueClass)
-      continue;
-    BestOther = std::max(BestOther, static_cast<double>(Scores[I]));
-  }
-  return static_cast<double>(Scores[TrueClass]) - BestOther;
 }

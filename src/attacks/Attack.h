@@ -90,10 +90,6 @@ protected:
                                  Rng &R) = 0;
 };
 
-/// Untargeted margin: f_{cx}(x) - max_{j != cx} f_j(x). Negative iff the
-/// image is misclassified; both baselines minimize it.
-double untargetedMargin(const std::vector<float> &Scores, size_t TrueClass);
-
 } // namespace oppsla
 
 #endif // OPPSLA_ATTACKS_ATTACK_H

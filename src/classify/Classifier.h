@@ -65,8 +65,20 @@ public:
   size_t predict(const Image &Img);
 };
 
-/// Returns the argmax index of \p Scores; asserts non-empty.
+/// Returns the argmax index of \p Scores (first wins ties); asserts
+/// non-empty.
 size_t argmaxScore(const std::vector<float> &Scores);
+
+/// Untargeted margin: f_{cx}(x) - max_{j != cx} f_j(x). Negative iff the
+/// image is misclassified; both baselines minimize it.
+double untargetedMargin(const std::vector<float> &Scores, size_t TrueClass);
+
+/// The clones a clone-per-worker fan-out over \p Workers pool slots needs
+/// (ThreadPool::forEach's slot form): Workers - 1 of them, for slots
+/// 1..Workers-1, while slot 0 keeps \p C itself. Empty when Workers < 2 or
+/// when \p C cannot be cloned, which callers take as "run serially on C".
+std::vector<std::unique_ptr<Classifier>> workerClones(const Classifier &C,
+                                                      size_t Workers);
 
 } // namespace oppsla
 

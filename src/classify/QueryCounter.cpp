@@ -62,25 +62,11 @@ void QueryCounter::emitQueryEvent(const std::vector<float> &Scores,
     return;
   // Predicted class and margin. With a true class set this is the paper's
   // untargeted margin f_c(x) - max_{j != c} f_j(x) (negative iff
-  // misclassified); otherwise the generic top1 - top2 confidence gap.
-  size_t Pred = 0;
-  for (size_t I = 1; I != Scores.size(); ++I)
-    if (Scores[I] > Scores[Pred])
-      Pred = I;
-  double Margin;
-  if (HasTrueClass && TrueClass < Scores.size()) {
-    double BestOther = -1.0;
-    for (size_t I = 0; I != Scores.size(); ++I)
-      if (I != TrueClass)
-        BestOther = std::max(BestOther, static_cast<double>(Scores[I]));
-    Margin = static_cast<double>(Scores[TrueClass]) - BestOther;
-  } else {
-    double Second = -1.0;
-    for (size_t I = 0; I != Scores.size(); ++I)
-      if (I != Pred)
-        Second = std::max(Second, static_cast<double>(Scores[I]));
-    Margin = static_cast<double>(Scores[Pred]) - Second;
-  }
+  // misclassified); otherwise the generic top1 - top2 confidence gap, which
+  // is the same margin taken against the predicted class.
+  const size_t Pred = argmaxScore(Scores);
+  const double Margin = untargetedMargin(
+      Scores, HasTrueClass && TrueClass < Scores.size() ? TrueClass : Pred);
   telemetry::traceEvent("query", {{"idx", Idx},
                                   {"image", telemetry::traceImage()},
                                   {"pred", Pred},

@@ -15,10 +15,9 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cassert>
 #include <cmath>
 #include <functional>
-#include <future>
 #include <memory>
 
 using namespace oppsla;
@@ -38,97 +37,62 @@ struct ImageOutcome {
   bool Counted = false; ///< successful and not already misclassified
 };
 
-/// Per-worker evaluation state reused across many evaluateProgram calls:
-/// an MH chain scores MaxIter+1 candidates, so the pool and the classifier
-/// clones are built once per chain, not once per candidate. An empty
-/// Workers list (or a 1-element one) means serial evaluation.
-struct EvalWorkers {
-  std::unique_ptr<ThreadPool> Pool;
-  std::vector<Classifier *> Classifiers; ///< [0] is the caller's own
-  std::vector<std::unique_ptr<Classifier>> Owned;
+/// Scores candidate programs on a classifier: over a pool of workers when
+/// it has two or more and the classifier can be cloned (worker slot 0 on
+/// the classifier itself, the others on clones), serially otherwise. An MH
+/// chain scores MaxIter+1 candidates, so the pool and the clones are built
+/// once per chain, not once per candidate.
+class Scorer {
+public:
+  Scorer(Classifier &N, size_t Threads, size_t NumImages)
+      : N(N), Clones(workerClones(N, std::min(Threads, NumImages))) {
+    if (!Clones.empty())
+      Pool = std::make_unique<ThreadPool>(Clones.size() + 1);
+  }
 
-  /// Builds workers for \p Threads threads; degrades to serial (empty)
-  /// when the classifier is not cloneable or Threads < 2.
-  static EvalWorkers make(Classifier &N, size_t Threads, size_t NumImages) {
-    EvalWorkers W;
-    const size_t Count = std::min(Threads, NumImages);
-    if (Count < 2)
-      return W;
-    std::vector<std::unique_ptr<Classifier>> Owned;
-    for (size_t T = 1; T != Count; ++T) {
-      auto C = N.clone();
-      if (!C)
-        return W; // not cloneable: keep W empty, run serial
-      Owned.push_back(std::move(C));
+  /// Fills one outcome slot per training image, then reduces them in index
+  /// order (the average is a floating-point sum, so reduction order is
+  /// part of the contract).
+  ProgramEval evaluate(const Program &P, const Dataset &TrainSet,
+                       uint64_t PerImageCap) {
+    assert(TrainSet.size() > 0 && "empty training set");
+    telemetry::ProfileScope Span("synth.score");
+    std::vector<ImageOutcome> Out(TrainSet.size());
+    const Sketch Sk(P);
+    auto RunOne = [&](Classifier &NN, size_t I) {
+      const SketchResult R =
+          Sk.run(NN, TrainSet.Images[I], TrainSet.Labels[I], PerImageCap);
+      Out[I].Queries = R.Queries;
+      Out[I].Counted = R.Success && !R.AlreadyMisclassified;
+    };
+    if (Pool)
+      Pool->forEach(TrainSet.size(), [&](size_t Slot, size_t I) {
+        RunOne(Slot == 0 ? N : *Clones[Slot - 1], I);
+      });
+    else
+      for (size_t I = 0; I != TrainSet.size(); ++I)
+        RunOne(N, I);
+
+    ProgramEval Eval;
+    double QuerySum = 0.0;
+    for (const ImageOutcome &O : Out) {
+      Eval.TotalQueries += O.Queries;
+      ++Eval.Attacks;
+      if (!O.Counted)
+        continue; // the paper averages over successful attacks only
+      ++Eval.Successes;
+      QuerySum += static_cast<double>(O.Queries);
     }
-    W.Owned = std::move(Owned);
-    W.Classifiers.push_back(&N);
-    for (auto &C : W.Owned)
-      W.Classifiers.push_back(C.get());
-    W.Pool = std::make_unique<ThreadPool>(Count);
-    return W;
+    if (Eval.Successes > 0)
+      Eval.AvgQueries = QuerySum / static_cast<double>(Eval.Successes);
+    return Eval;
   }
 
-  bool parallel() const { return Pool != nullptr; }
+private:
+  Classifier &N;
+  std::vector<std::unique_ptr<Classifier>> Clones;
+  std::unique_ptr<ThreadPool> Pool; ///< null: score serially on N
 };
-
-/// The shared core of serial and parallel evaluation: fills one outcome
-/// slot per training image, then reduces them in index order (the average
-/// is a floating-point sum, so reduction order is part of the contract).
-ProgramEval evaluateProgramWith(const Program &P, Classifier &N,
-                                const Dataset &TrainSet, uint64_t PerImageCap,
-                                EvalWorkers *Workers) {
-  assert(TrainSet.size() > 0 && "empty training set");
-  telemetry::ProfileScope Span("synth.score");
-  std::vector<ImageOutcome> Out(TrainSet.size());
-
-  auto RunOne = [&](Sketch &Sk, Classifier &NN, size_t I) {
-    const SketchResult R =
-        Sk.run(NN, TrainSet.Images[I], TrainSet.Labels[I], PerImageCap);
-    Out[I].Queries = R.Queries;
-    Out[I].Counted = R.Success && !R.AlreadyMisclassified;
-  };
-
-  if (Workers && Workers->parallel()) {
-    std::atomic<size_t> Next{0};
-    std::vector<std::future<void>> Futures;
-    Futures.reserve(Workers->Classifiers.size());
-    // Adopt the submitting thread's job context (profile root + trace
-    // id) on each pool worker — synthesis inside a served job should
-    // attribute to that job.
-    const char *ProfRoot = telemetry::ambientProfileRoot();
-    const std::string TraceId = telemetry::traceContextId();
-    for (Classifier *NT : Workers->Classifiers)
-      Futures.push_back(Workers->Pool->submit([&, NT] {
-        telemetry::ProfileTaskScope Task(ProfRoot);
-        telemetry::TraceContextScope Trace(TraceId);
-        Sketch Sk(P);
-        for (size_t I = Next.fetch_add(1); I < TrainSet.size();
-             I = Next.fetch_add(1))
-          RunOne(Sk, *NT, I);
-      }));
-    for (auto &F : Futures)
-      F.get();
-  } else {
-    Sketch Sk(P);
-    for (size_t I = 0; I != TrainSet.size(); ++I)
-      RunOne(Sk, N, I);
-  }
-
-  ProgramEval Eval;
-  double QuerySum = 0.0;
-  for (const ImageOutcome &O : Out) {
-    Eval.TotalQueries += O.Queries;
-    ++Eval.Attacks;
-    if (!O.Counted)
-      continue; // the paper averages over successful attacks only
-    ++Eval.Successes;
-    QuerySum += static_cast<double>(O.Queries);
-  }
-  if (Eval.Successes > 0)
-    Eval.AvgQueries = QuerySum / static_cast<double>(Eval.Successes);
-  return Eval;
-}
 
 /// Stream-id tag for island Rng derivation: with N > 1 islands, island i
 /// of a synthesis seeded S draws from SplitMix64 stream
@@ -137,14 +101,13 @@ ProgramEval evaluateProgramWith(const Program &P, Classifier &N,
 /// seeds) without any shared draw order.
 constexpr uint64_t IslandStreamTag = 0x49534c44; // "ISLD"
 
-/// One MH chain ("island"). Everything an island touches is island-private
-/// (Rng, classifier, scorers, chain state), so rounds can run on any
-/// thread — or all on one — with bit-identical results.
+/// One MH chain ("island"). Its state is island-private (Rng, chain
+/// state), and a round borrows the scorer of whichever island-pool slot
+/// runs it, so rounds can run on any thread — or all on one — with
+/// bit-identical results.
 struct IslandState {
   size_t Index = 0;
   Rng R{1};
-  Classifier *Cls = nullptr;
-  EvalWorkers Workers;     ///< candidate scorers over Cls and its clones
   Program P;               ///< current chain state
   ProgramEval Eval;
   double Score = 0.0;
@@ -155,7 +118,7 @@ struct IslandState {
 };
 
 /// Runs \p Iters MH iterations on island \p S.
-void runIslandRound(IslandState &S, const MutationContext &Ctx,
+void runIslandRound(IslandState &S, Scorer &Sc, const MutationContext &Ctx,
                     const SynthesisConfig &Config, size_t StartIter,
                     size_t Iters, const Dataset &TrainSet,
                     telemetry::Counter &IterCounter,
@@ -170,8 +133,8 @@ void runIslandRound(IslandState &S, const MutationContext &Ctx,
       telemetry::ProfileScope ProposeSpan("synth.propose");
       Candidate = mutateProgram(S.P, Ctx, S.R, &Kind);
     }
-    const ProgramEval CandEval = evaluateProgramWith(
-        Candidate, *S.Cls, TrainSet, Config.PerImageQueryCap, &S.Workers);
+    const ProgramEval CandEval =
+        Sc.evaluate(Candidate, TrainSet, Config.PerImageQueryCap);
     const double CandScore = CandEval.score(Config.Beta);
     S.Cumulative += CandEval.TotalQueries;
     // MH acceptance: u < S(P')/S(P). A zero-score incumbent accepts any
@@ -214,10 +177,7 @@ void runIslandRound(IslandState &S, const MutationContext &Ctx,
 ProgramEval oppsla::evaluateProgram(const Program &P, Classifier &N,
                                     const Dataset &TrainSet,
                                     uint64_t PerImageCap, size_t Threads) {
-  if (Threads < 2)
-    return evaluateProgramWith(P, N, TrainSet, PerImageCap, nullptr);
-  EvalWorkers Workers = EvalWorkers::make(N, Threads, TrainSet.size());
-  return evaluateProgramWith(P, N, TrainSet, PerImageCap, &Workers);
+  return Scorer(N, Threads, TrainSet.size()).evaluate(P, TrainSet, PerImageCap);
 }
 
 Program oppsla::synthesizeProgram(Classifier &N, const Dataset &TrainSet,
@@ -245,21 +205,6 @@ Program oppsla::synthesizeProgram(Classifier &N, const Dataset &TrainSet,
       telemetry::counter("synth.exchanges");
   IslandCounter.inc(NumIslands);
 
-  // Island 0 runs on the caller's classifier, the rest on clones. A
-  // non-cloneable classifier degrades to all islands sharing N serially —
-  // same chains, same result, no parallelism.
-  std::vector<std::unique_ptr<Classifier>> Owned;
-  bool Cloneable = true;
-  for (size_t I = 1; I < NumIslands && Cloneable; ++I) {
-    auto C = N.clone();
-    if (!C)
-      Cloneable = false;
-    else
-      Owned.push_back(std::move(C));
-  }
-  if (!Cloneable)
-    Owned.clear();
-
   std::vector<IslandState> Islands(NumIslands);
   for (size_t I = 0; I != NumIslands; ++I) {
     IslandState &S = Islands[I];
@@ -270,48 +215,42 @@ Program oppsla::synthesizeProgram(Classifier &N, const Dataset &TrainSet,
     S.R = NumIslands == 1
               ? Rng(Config.Seed)
               : Rng(Rng::deriveRunSeed(Config.Seed, IslandStreamTag + I));
-    S.Cls = (I == 0 || !Cloneable) ? &N : Owned[I - 1].get();
-    // Threads / N scorers per island: a lone island scores each candidate
-    // in parallel, N > 1 islands score serially until Threads >= 2N.
-    S.Workers = EvalWorkers::make(*S.Cls, Config.Threads / NumIslands,
-                                  TrainSet.size());
   }
 
-  const size_t PoolThreads =
-      Cloneable ? std::min(Config.Threads, NumIslands) : 1;
+  // Up to min(Threads, N) islands run at once, one per island-pool slot.
+  // Slot 0 scores on the caller's classifier, the others on clones; a
+  // classifier that cannot be cloned runs every island serially on N —
+  // same chains, same result, no parallelism. Each slot scores on
+  // Threads / N workers: a lone island scores each candidate in parallel,
+  // N > 1 islands score serially until Threads >= 2N.
+  const std::vector<std::unique_ptr<Classifier>> Clones =
+      workerClones(N, std::min(Config.Threads, NumIslands));
+  std::vector<Scorer> Scorers;
+  Scorers.reserve(Clones.size() + 1);
+  Scorers.emplace_back(N, Config.Threads / NumIslands, TrainSet.size());
+  for (const std::unique_ptr<Classifier> &C : Clones)
+    Scorers.emplace_back(*C, Config.Threads / NumIslands, TrainSet.size());
   std::unique_ptr<ThreadPool> Pool;
-  if (PoolThreads >= 2)
-    Pool = std::make_unique<ThreadPool>(PoolThreads);
+  if (!Clones.empty())
+    Pool = std::make_unique<ThreadPool>(Scorers.size());
 
-  // Runs Fn over every island, on the pool when available. Pool workers
-  // adopt the submitting thread's job context so island spans and trace
-  // events attribute to the surrounding job.
-  auto RunAll = [&](const std::function<void(IslandState &)> &Fn) {
+  // Runs Fn over every island, on the pool when there is one.
+  auto RunAll = [&](const std::function<void(IslandState &, Scorer &)> &Fn) {
     if (!Pool) {
       for (IslandState &S : Islands)
-        Fn(S);
+        Fn(S, Scorers.front());
       return;
     }
-    const char *ProfRoot = telemetry::ambientProfileRoot();
-    const std::string TraceId = telemetry::traceContextId();
-    std::vector<std::future<void>> Futures;
-    Futures.reserve(NumIslands);
-    for (size_t I = 0; I != NumIslands; ++I)
-      Futures.push_back(Pool->submit([&, I] {
-        telemetry::ProfileTaskScope Task(ProfRoot);
-        telemetry::TraceContextScope TraceScope(TraceId);
-        Fn(Islands[I]);
-      }));
-    for (auto &F : Futures)
-      F.get();
+    Pool->forEach(NumIslands, [&](size_t Slot, size_t I) {
+      Fn(Islands[I], Scorers[Slot]);
+    });
   };
 
   // Round 0: every island draws and scores its own initial program.
-  RunAll([&](IslandState &S) {
+  RunAll([&](IslandState &S, Scorer &Sc) {
     telemetry::ProfileScope Span("synth.island");
     S.P = randomProgram(Ctx, S.R);
-    S.Eval = evaluateProgramWith(S.P, *S.Cls, TrainSet,
-                                 Config.PerImageQueryCap, &S.Workers);
+    S.Eval = Sc.evaluate(S.P, TrainSet, Config.PerImageQueryCap);
     S.Score = S.Eval.score(Config.Beta);
     S.Cumulative = S.Eval.TotalQueries;
     S.Best = S.P;
@@ -358,9 +297,9 @@ Program oppsla::synthesizeProgram(Classifier &N, const Dataset &TrainSet,
   while (Done < Config.MaxIter) {
     const size_t Iters = std::min(Interval, Config.MaxIter - Done);
     const double PrevBest = GlobalBest().BestScore;
-    RunAll([&](IslandState &S) {
-      runIslandRound(S, Ctx, Config, Done + 1, Iters, TrainSet, IterCounter,
-                     AcceptCounter, SynthQueries);
+    RunAll([&](IslandState &S, Scorer &Sc) {
+      runIslandRound(S, Sc, Ctx, Config, Done + 1, Iters, TrainSet,
+                     IterCounter, AcceptCounter, SynthQueries);
     });
     Done += Iters;
 
@@ -451,15 +390,14 @@ Program oppsla::randomSearchProgram(Classifier &N, const Dataset &TrainSet,
   Ctx.ImageSide =
       TrainSet.size() > 0 ? TrainSet.Images.front().height() : 32;
 
-  EvalWorkers Workers = EvalWorkers::make(N, Threads, TrainSet.size());
+  Scorer Sc(N, Threads, TrainSet.size());
 
   Program Best;
   double BestAvg = 0.0;
   bool HaveBest = false;
   for (size_t I = 0; I != NumSamples; ++I) {
     const Program P = randomProgram(Ctx, R);
-    const ProgramEval Eval =
-        evaluateProgramWith(P, N, TrainSet, PerImageCap, &Workers);
+    const ProgramEval Eval = Sc.evaluate(P, TrainSet, PerImageCap);
     if (Eval.Successes == 0)
       continue;
     if (!HaveBest || Eval.AvgQueries < BestAvg) {

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <future>
 #include <sstream>
 #include <unordered_map>
 
@@ -195,25 +194,6 @@ void QueryEngine::prefetch(std::span<const Image> Imgs) {
          {"forwards", static_cast<uint64_t>(Unique.size())}});
 }
 
-bool QueryEngine::ensureWorkers() {
-  if (Config.Threads <= 1 || WorkersUnavailable)
-    return Pool != nullptr;
-  if (Pool)
-    return true;
-  std::vector<std::unique_ptr<Classifier>> Clones;
-  for (size_t T = 1; T != Config.Threads; ++T) {
-    auto C = Inner.clone();
-    if (!C) {
-      WorkersUnavailable = true;
-      return false;
-    }
-    Clones.push_back(std::move(C));
-  }
-  WorkerClones = std::move(Clones);
-  Pool = std::make_unique<ThreadPool>(Config.Threads);
-  return true;
-}
-
 void QueryEngine::forwardUnique(std::span<const Image> Imgs,
                                 const std::vector<size_t> &Unique,
                                 std::vector<std::vector<float>> &Out) {
@@ -246,28 +226,21 @@ void QueryEngine::forwardUnique(std::span<const Image> Imgs,
       Out[Unique[I]] = std::move(S[I - Begin]);
   };
 
-  if (NumChunks > 1 && ensureWorkers()) {
-    // Worker T owns clone T-1 (worker 0 reuses the inner classifier);
-    // chunks are assigned round-robin so each classifier instance is used
-    // by exactly one task chain at a time.
-    const size_t W = Config.Threads;
-    // Engine pool threads outlive any one job: hand each task the
-    // submitting thread's ambient profile root and trace id so forward
-    // spans and trace events attribute to the right job.
-    const char *ProfRoot = telemetry::ambientProfileRoot();
-    const std::string TraceId = telemetry::traceContextId();
-    std::vector<std::future<void>> Futures;
-    for (size_t T = 0; T != std::min(W, NumChunks); ++T) {
-      Classifier *C = T == 0 ? &Inner : WorkerClones[T - 1].get();
-      Futures.push_back(Pool->submit([&, C, T] {
-        telemetry::ProfileTaskScope Task(ProfRoot);
-        telemetry::TraceContextScope Trace(TraceId);
-        for (size_t K = T; K < NumChunks; K += W)
-          RunChunk(*C, K);
-      }));
-    }
-    for (auto &F : Futures)
-      F.get();
+  if (NumChunks > 1 && Config.Threads > 1 && !Pool) {
+    Clones = workerClones(Inner, Config.Threads);
+    if (!Clones.empty())
+      Pool = std::make_unique<ThreadPool>(Config.Threads);
+  }
+  if (NumChunks > 1 && Pool) {
+    // Worker T runs chunks T, T+W, T+2W, ... on its own classifier (0 is
+    // Inner): a fixed assignment, so the chunks each classifier's delta
+    // reference comes from never depend on scheduling.
+    const size_t W = Pool->numThreads();
+    Pool->forEach(std::min(W, NumChunks), [&](size_t T) {
+      Classifier &C = T == 0 ? Inner : *Clones[T - 1];
+      for (size_t K = T; K < NumChunks; K += W)
+        RunChunk(C, K);
+    });
     return;
   }
 

@@ -103,19 +103,16 @@ private:
                      const std::vector<size_t> &Unique,
                      std::vector<std::vector<float>> &Out);
 
-  /// Lazily builds the worker pool and per-worker inner clones; returns
-  /// false when unavailable (Threads <= 1 or inner not cloneable).
-  bool ensureWorkers();
-
   Classifier &Inner;
   std::unique_ptr<Classifier> OwnedInner; ///< set on clones
   QueryEngineConfig Config;
   std::shared_ptr<ScoreCache> Cache; ///< never null; shared across clones
                                      ///< when Config.ShareCacheOnClone
 
+  /// Chunk workers, built by the first multi-chunk forward when
+  /// Config.Threads > 1: worker 0 runs on Inner, worker T on Clones[T-1].
+  std::vector<std::unique_ptr<Classifier>> Clones;
   std::unique_ptr<ThreadPool> Pool;
-  std::vector<std::unique_ptr<Classifier>> WorkerClones;
-  bool WorkersUnavailable = false;
 
   uint64_t Logical = 0;
   uint64_t Physical = 0;

@@ -13,82 +13,51 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <atomic>
-#include <future>
+#include <cassert>
+#include <functional>
 
 using namespace oppsla;
 
 namespace {
 
-/// Attacks image \p I of \p TestSet and records the outcome into a log
-/// slot. Shared by the serial and parallel sweep paths so both produce
-/// the same records.
-AttackRunLog attackOne(Attack &A, Classifier &N, const Dataset &TestSet,
-                       size_t I, uint64_t Budget) {
-  telemetry::TraceImageScope Scope(static_cast<int64_t>(I));
-  const AttackResult R =
-      A.attack(N, TestSet.Images[I], TestSet.Labels[I], Budget);
-  AttackRunLog Log;
-  Log.Label = TestSet.Labels[I];
-  Log.Discarded = R.AlreadyMisclassified;
-  Log.Success = R.Success && !R.AlreadyMisclassified;
-  Log.Queries = R.Queries;
-  telemetry::progressItem(!Log.Discarded, Log.Success, Log.Queries);
-  return Log;
-}
+/// The sweep both entry points share. RunOne(NN, Slot, I) attacks image I
+/// of \p TestSet on classifier NN; the sweep records its outcome into a
+/// pre-sized log slot. With \p Threads > 1 the images fan out over a pool
+/// whose worker slot 0 runs on \p N and the others on clones, so the logs
+/// are bit-identical to the serial sweep (each run's outcome is a pure
+/// function of the attack seed and the image — see Attack::attack()). A
+/// classifier that cannot be cloned runs the serial sweep.
+std::vector<AttackRunLog> sweep(
+    Classifier &N, const Dataset &TestSet, size_t Threads,
+    const std::function<AttackResult(Classifier &, size_t, size_t)> &RunOne) {
+  telemetry::ProfileScope Span("eval.sweep");
+  telemetry::progressBegin("eval", TestSet.size());
+  std::vector<AttackRunLog> Logs(TestSet.size());
+  auto Record = [&](Classifier &NN, size_t Slot, size_t I) {
+    telemetry::TraceImageScope Scope(static_cast<int64_t>(I));
+    const AttackResult R = RunOne(NN, Slot, I);
+    AttackRunLog &Log = Logs[I];
+    Log.Label = TestSet.Labels[I];
+    Log.Discarded = R.AlreadyMisclassified;
+    Log.Success = R.Success && !R.AlreadyMisclassified;
+    Log.Queries = R.Queries;
+    telemetry::progressItem(!Log.Discarded, Log.Success, Log.Queries);
+  };
 
-/// Parallel sweep: every worker thread gets its own clone of the attack
-/// and the classifier, and images are handed out dynamically. The result
-/// slots are pre-sized, so assignment order does not affect the output;
-/// per-run RNG isolation makes each slot's content independent of which
-/// worker computed it.
-///
-/// Returns false (without touching \p Logs) when the classifier cannot be
-/// cloned, in which case the caller runs the serial path.
-bool runAttackOverSetParallel(Attack &A, Classifier &N,
-                              const Dataset &TestSet, uint64_t Budget,
-                              size_t Threads,
-                              std::vector<AttackRunLog> &Logs) {
   const size_t Workers = std::min(Threads, TestSet.size());
-  if (Workers < 2)
-    return false;
-
-  // Worker 0 reuses the caller's attack/classifier; the rest get clones.
-  std::vector<std::unique_ptr<Attack>> AttackClones;
-  std::vector<std::unique_ptr<Classifier>> ClassifierClones;
-  for (size_t T = 1; T != Workers; ++T) {
-    auto AC = A.clone();
-    auto NC = N.clone();
-    if (!AC || !NC)
-      return false;
-    AttackClones.push_back(std::move(AC));
-    ClassifierClones.push_back(std::move(NC));
+  const std::vector<std::unique_ptr<Classifier>> Clones =
+      workerClones(N, Workers);
+  if (Clones.empty()) {
+    for (size_t I = 0; I != TestSet.size(); ++I)
+      Record(N, 0, I);
+  } else {
+    ThreadPool Pool(Workers);
+    Pool.forEach(TestSet.size(), [&](size_t Slot, size_t I) {
+      Record(Slot == 0 ? N : *Clones[Slot - 1], Slot, I);
+    });
   }
-
-  Logs.assign(TestSet.size(), AttackRunLog());
-  ThreadPool Pool(Workers);
-  std::atomic<size_t> Next{0};
-  std::vector<std::future<void>> Futures;
-  Futures.reserve(Workers);
-  // Capture the submitting thread's ambient job context so worker spans
-  // nest under the job's profile root and worker events carry its trace
-  // id (pool threads outlive any one job).
-  const char *ProfRoot = telemetry::ambientProfileRoot();
-  const std::string TraceId = telemetry::traceContextId();
-  for (size_t T = 0; T != Workers; ++T) {
-    Attack *AT = T == 0 ? &A : AttackClones[T - 1].get();
-    Classifier *NT = T == 0 ? &N : ClassifierClones[T - 1].get();
-    Futures.push_back(Pool.submit([&, AT, NT] {
-      telemetry::ProfileTaskScope Task(ProfRoot);
-      telemetry::TraceContextScope Trace(TraceId);
-      for (size_t I = Next.fetch_add(1); I < TestSet.size();
-           I = Next.fetch_add(1))
-        Logs[I] = attackOne(*AT, *NT, TestSet, I, Budget);
-    }));
-  }
-  for (auto &F : Futures)
-    F.get();
-  return true;
+  telemetry::progressFinish();
+  return Logs;
 }
 
 } // namespace
@@ -97,20 +66,16 @@ std::vector<AttackRunLog> oppsla::runAttackOverSet(Attack &A, Classifier &N,
                                                    const Dataset &TestSet,
                                                    uint64_t Budget,
                                                    size_t Threads) {
-  telemetry::ProfileScope Span("eval.sweep");
-  telemetry::progressBegin("eval", TestSet.size());
-  std::vector<AttackRunLog> Logs;
-  if (Threads > 1 &&
-      runAttackOverSetParallel(A, N, TestSet, Budget, Threads, Logs)) {
-    telemetry::progressFinish();
-    return Logs;
-  }
-
-  Logs.reserve(TestSet.size());
-  for (size_t I = 0; I != TestSet.size(); ++I)
-    Logs.push_back(attackOne(A, N, TestSet, I, Budget));
-  telemetry::progressFinish();
-  return Logs;
+  // Worker slot 0 runs A itself, every other slot its own clone.
+  std::vector<std::unique_ptr<Attack>> Clones;
+  for (size_t Slot = 1; Slot < std::min(Threads, TestSet.size()); ++Slot)
+    Clones.push_back(A.clone());
+  return sweep(N, TestSet, Threads,
+               [&](Classifier &NN, size_t Slot, size_t I) {
+                 Attack &AT = Slot == 0 ? A : *Clones[Slot - 1];
+                 return AT.attack(NN, TestSet.Images[I], TestSet.Labels[I],
+                                  Budget);
+               });
 }
 
 std::vector<AttackRunLog> oppsla::runProgramsOverSet(
@@ -119,68 +84,12 @@ std::vector<AttackRunLog> oppsla::runProgramsOverSet(
   // Per-image construction of the SketchAttack is cheap (programs are a
   // handful of ops), so each run builds the attack for its label locally;
   // that also makes the parallel path trivially race-free.
-  auto RunOne = [&Programs, &TestSet, Budget](Classifier &NN,
-                                              size_t I) -> AttackRunLog {
-    telemetry::TraceImageScope Scope(static_cast<int64_t>(I));
+  return sweep(N, TestSet, Threads, [&](Classifier &NN, size_t, size_t I) {
     const size_t Label = TestSet.Labels[I];
     assert(Label < Programs.size() && "no program for this class");
     SketchAttack A(Programs[Label]);
-    const AttackResult R = A.attack(NN, TestSet.Images[I], Label, Budget);
-    AttackRunLog Log;
-    Log.Label = Label;
-    Log.Discarded = R.AlreadyMisclassified;
-    Log.Success = R.Success && !R.AlreadyMisclassified;
-    Log.Queries = R.Queries;
-    telemetry::progressItem(!Log.Discarded, Log.Success, Log.Queries);
-    return Log;
-  };
-
-  telemetry::ProfileScope Span("eval.sweep");
-  telemetry::progressBegin("eval", TestSet.size());
-  const size_t Workers = std::min(Threads, TestSet.size());
-  if (Workers >= 2) {
-    std::vector<std::unique_ptr<Classifier>> Clones;
-    bool Cloneable = true;
-    for (size_t T = 1; T != Workers && Cloneable; ++T) {
-      auto NC = N.clone();
-      if (!NC)
-        Cloneable = false;
-      else
-        Clones.push_back(std::move(NC));
-    }
-    if (Cloneable) {
-      std::vector<AttackRunLog> Logs(TestSet.size());
-      ThreadPool Pool(Workers);
-      std::atomic<size_t> Next{0};
-      std::vector<std::future<void>> Futures;
-      Futures.reserve(Workers);
-      // Same ambient-context capture as runAttackOverSetParallel: worker
-      // spans/events belong to the submitting job.
-      const char *ProfRoot = telemetry::ambientProfileRoot();
-      const std::string TraceId = telemetry::traceContextId();
-      for (size_t T = 0; T != Workers; ++T) {
-        Classifier *NT = T == 0 ? &N : Clones[T - 1].get();
-        Futures.push_back(Pool.submit([&, NT] {
-          telemetry::ProfileTaskScope Task(ProfRoot);
-          telemetry::TraceContextScope Trace(TraceId);
-          for (size_t I = Next.fetch_add(1); I < TestSet.size();
-               I = Next.fetch_add(1))
-            Logs[I] = RunOne(*NT, I);
-        }));
-      }
-      for (auto &F : Futures)
-        F.get();
-      telemetry::progressFinish();
-      return Logs;
-    }
-  }
-
-  std::vector<AttackRunLog> Logs;
-  Logs.reserve(TestSet.size());
-  for (size_t I = 0; I != TestSet.size(); ++I)
-    Logs.push_back(RunOne(N, I));
-  telemetry::progressFinish();
-  return Logs;
+    return A.attack(NN, TestSet.Images[I], Label, Budget);
+  });
 }
 
 QuerySample oppsla::toQuerySample(const std::vector<AttackRunLog> &Logs) {

@@ -6,7 +6,7 @@
 
 #include "eval/Export.h"
 
-#include "support/Trace.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -86,13 +86,12 @@ bool oppsla::exportSynthesisTraceJsonl(
     Line += std::to_string(Step.Iteration);
     Line += ",\"accepted\":";
     Line += Step.Accepted ? "true" : "false";
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), ",\"avg_queries\":%.9g", Step.AvgQueries);
-    Line += Buf;
+    Line += ",\"avg_queries\":";
+    json::appendNumber(Line, Step.AvgQueries);
     Line += ",\"cum_queries\":";
     Line += std::to_string(Step.CumulativeQueries);
     Line += ",\"program\":\"";
-    telemetry::appendJsonEscaped(Line, Step.Current.str());
+    json::escape(Line, Step.Current.str());
     Line += "\"}\n";
     std::fwrite(Line.data(), 1, Line.size(), F);
   }

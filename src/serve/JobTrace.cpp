@@ -6,6 +6,8 @@
 
 #include "serve/JobTrace.h"
 
+#include "support/Json.h"
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -97,7 +99,7 @@ std::string JobTrace::chromeTraceJson() const {
     const uint64_t StartNs = std::max(P.StartNs, CreatedNs);
     const uint64_t TsUs = (StartNs - CreatedNs) / 1000;
     Out += ",{\"name\":\"";
-    telemetry::appendJsonEscaped(Out, P.Name);
+    json::escape(Out, P.Name);
     Out += "\",\"cat\":\"job\",\"ph\":\"";
     Out += P.Instant ? "i" : "X";
     Out += "\"";

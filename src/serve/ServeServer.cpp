@@ -8,6 +8,7 @@
 
 #include "serve/JobRunner.h"
 #include "support/Http.h"
+#include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
@@ -33,7 +34,7 @@ telemetry::Counter &rejectedCounter() {
 
 std::string errorJson(const std::string &Message) {
   std::string Out = "{\"error\":\"";
-  telemetry::appendJsonEscaped(Out, Message);
+  json::escape(Out, Message);
   Out += "\"}";
   return Out;
 }
@@ -78,7 +79,7 @@ std::string serve::jobStatusJson(Job &J) {
   const std::string Error = J.errorMessage();
   if (!Error.empty()) {
     Out += ",\"error\":\"";
-    telemetry::appendJsonEscaped(Out, Error);
+    json::escape(Out, Error);
     Out += "\"";
   }
   if (J.Trace)

@@ -7,12 +7,11 @@
 #include "support/BenchJson.h"
 
 #include "support/ArgParse.h"
+#include "support/Json.h"
 #include "support/Ledger.h"
 #include "support/Logging.h"
 #include "support/Metrics.h"
-#include "support/Trace.h"
 
-#include <cmath>
 #include <cstdio>
 
 using namespace oppsla;
@@ -37,27 +36,21 @@ std::string BenchJson::render() const {
   std::snprintf(Head, sizeof(Head), "{\"schema\":%d,\"name\":\"",
                 kBenchSchemaVersion);
   std::string Out = Head;
-  telemetry::appendJsonEscaped(Out, Name);
+  json::escape(Out, Name);
   Out += "\",\"scale\":\"";
-  telemetry::appendJsonEscaped(Out, Scale);
+  json::escape(Out, Scale);
   std::snprintf(Head, sizeof(Head), "\",\"repeat\":%d,\"metrics\":{",
                 Repeat);
   Out += Head;
   bool First = true;
-  char Buf[40];
   for (const auto &[Key, Value] : Metrics) {
     if (!First)
       Out += ',';
     First = false;
     Out += '"';
-    telemetry::appendJsonEscaped(Out, Key);
+    json::escape(Out, Key);
     Out += "\":";
-    if (std::isfinite(Value)) {
-      std::snprintf(Buf, sizeof(Buf), "%.9g", Value);
-      Out += Buf;
-    } else {
-      Out += "null";
-    }
+    json::appendNumber(Out, Value);
   }
   Out += "}}\n";
   return Out;

@@ -365,7 +365,7 @@ bool oppsla::json::parseFile(const std::string &Path, Value &Out,
   return true;
 }
 
-void oppsla::json::escape(std::string &Out, const std::string &S) {
+void oppsla::json::escape(std::string &Out, std::string_view S) {
   for (char C : S) {
     switch (C) {
     case '"':

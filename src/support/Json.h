@@ -9,9 +9,10 @@
 /// that *read* JSON: the bench ledger ingests `BENCH_<name>.json` artifacts
 /// and `--metrics-out` snapshots, and `oppsla_bench gate` reads baselines
 /// and its rule manifest. Writers across the codebase keep hand-rendering
-/// their documents (they control the shape exactly); this is the reading
-/// side only. Deliberately minimal: no comments, no trailing commas,
-/// objects keep key order of first appearance.
+/// their documents (they control the shape exactly) and share only the two
+/// helpers at the bottom: escape() for strings and appendNumber() for
+/// doubles. Deliberately minimal: no comments, no trailing commas, objects
+/// keep key order of first appearance.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace oppsla {
@@ -81,11 +83,12 @@ bool parse(const std::string &Text, Value &Out, std::string &Error);
 /// parse() from the contents of \p Path. Read failures land in \p Error.
 bool parseFile(const std::string &Path, Value &Out, std::string &Error);
 
-/// Appends \p S to \p Out with JSON string escaping (quotes not added).
-void escape(std::string &Out, const std::string &S);
+/// Appends \p S to \p Out with JSON string escaping (quotes, backslashes,
+/// control characters); does not add surrounding quotes.
+void escape(std::string &Out, std::string_view S);
 
-/// Appends a finite double with "%.9g" (matching the writers across the
-/// repo); non-finite values render as null.
+/// Appends a finite double with "%.9g", the number format of every JSON
+/// document the repo writes; non-finite values render as null.
 void appendNumber(std::string &Out, double V);
 
 } // namespace json

@@ -6,6 +6,7 @@
 
 #include "support/Logging.h"
 
+#include "support/Json.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -180,11 +181,11 @@ std::string oppsla::logRingJsonl(size_t MaxEntries, LogLevel MaxLevel) {
     Out += '"';
     if (!R.Trace.empty()) {
       Out += ",\"trace\":\"";
-      telemetry::appendJsonEscaped(Out, R.Trace);
+      json::escape(Out, R.Trace);
       Out += '"';
     }
     Out += ",\"msg\":\"";
-    telemetry::appendJsonEscaped(Out, R.Message);
+    json::escape(Out, R.Message);
     Out += "\"}\n";
   }
   return Out;

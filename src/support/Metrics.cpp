@@ -8,6 +8,7 @@
 
 #include "support/ArgParse.h"
 #include "support/HwCounters.h"
+#include "support/Json.h"
 #include "support/Ledger.h"
 #include "support/Logging.h"
 #include "support/Profiler.h"
@@ -34,16 +35,6 @@ void atomicAdd(std::atomic<double> &A, double Delta) {
   while (!A.compare_exchange_weak(Cur, Cur + Delta,
                                   std::memory_order_relaxed))
     ;
-}
-
-void appendDouble(std::string &Out, double V) {
-  if (!std::isfinite(V)) {
-    Out += "null";
-    return;
-  }
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.9g", V);
-  Out += Buf;
 }
 
 void appendUInt(std::string &Out, uint64_t V) {
@@ -245,7 +236,7 @@ std::string MetricsRegistry::snapshotJson() const {
       Out += ',';
     First = false;
     Out += '"';
-    appendJsonEscaped(Out, Name);
+    json::escape(Out, Name);
     Out += "\":";
     appendUInt(Out, C->value());
   }
@@ -256,9 +247,9 @@ std::string MetricsRegistry::snapshotJson() const {
       Out += ',';
     First = false;
     Out += '"';
-    appendJsonEscaped(Out, Name);
+    json::escape(Out, Name);
     Out += "\":";
-    appendDouble(Out, G->value());
+    json::appendNumber(Out, G->value());
   }
   Out += "},\"histograms\":{";
   First = true;
@@ -267,26 +258,26 @@ std::string MetricsRegistry::snapshotJson() const {
       Out += ',';
     First = false;
     Out += '"';
-    appendJsonEscaped(Out, Name);
+    json::escape(Out, Name);
     Out += "\":{\"count\":";
     appendUInt(Out, H->count());
     Out += ",\"sum\":";
-    appendDouble(Out, H->sum());
+    json::appendNumber(Out, H->sum());
     Out += ",\"mean\":";
-    appendDouble(Out, H->mean());
+    json::appendNumber(Out, H->mean());
     Out += ",\"p50\":";
-    appendDouble(Out, H->quantile(0.5));
+    json::appendNumber(Out, H->quantile(0.5));
     Out += ",\"p90\":";
-    appendDouble(Out, H->quantile(0.9));
+    json::appendNumber(Out, H->quantile(0.9));
     Out += ",\"p99\":";
-    appendDouble(Out, H->quantile(0.99));
+    json::appendNumber(Out, H->quantile(0.99));
     Out += ",\"buckets\":[";
     for (size_t I = 0; I != H->numBuckets(); ++I) {
       if (I)
         Out += ',';
       Out += "{\"le\":";
       if (I < H->upperBounds().size())
-        appendDouble(Out, H->upperBounds()[I]);
+        json::appendNumber(Out, H->upperBounds()[I]);
       else
         Out += "\"inf\"";
       Out += ",\"count\":";

@@ -7,6 +7,8 @@
 #include "support/ThreadPool.h"
 
 #include "support/ArgParse.h"
+#include "support/Profiler.h"
+#include "support/Trace.h"
 
 #include <algorithm>
 #include <atomic>
@@ -32,7 +34,13 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> Task) {
-  std::packaged_task<void()> Packaged(std::move(Task));
+  std::packaged_task<void()> Packaged(
+      [Task = std::move(Task), Root = telemetry::ambientProfileRoot(),
+       TraceId = telemetry::traceContextId()] {
+        telemetry::ProfileTaskScope Profile(Root);
+        telemetry::TraceContextScope Trace(TraceId);
+        Task();
+      });
   std::future<void> Result = Packaged.get_future();
   {
     std::lock_guard<std::mutex> Lock(Mu);
@@ -44,22 +52,27 @@ std::future<void> ThreadPool::submit(std::function<void()> Task) {
 }
 
 void ThreadPool::forEach(size_t N, const std::function<void(size_t)> &Fn) {
+  forEach(N, [&Fn](size_t, size_t I) { Fn(I); });
+}
+
+void ThreadPool::forEach(size_t N,
+                         const std::function<void(size_t, size_t)> &Fn) {
   if (N == 0)
     return;
-  // One long-lived task per worker pulling indices from a shared counter:
-  // cheap dynamic load balancing without per-index task overhead. Each
-  // index's work is independent, so which worker runs it never affects
+  // One long-lived task per worker slot pulling indices from a shared
+  // counter: cheap dynamic load balancing without per-index task overhead.
+  // Each index's work is independent, so which slot runs it never affects
   // results — only the failure bookkeeping below needs care.
   std::atomic<size_t> Next{0};
   std::mutex FailMu;
   size_t FailIndex = N;
   std::exception_ptr FailEptr;
 
-  auto Drain = [&] {
+  auto Drain = [&](size_t Slot) {
     for (size_t I = Next.fetch_add(1, std::memory_order_relaxed); I < N;
          I = Next.fetch_add(1, std::memory_order_relaxed)) {
       try {
-        Fn(I);
+        Fn(Slot, I);
       } catch (...) {
         std::lock_guard<std::mutex> Lock(FailMu);
         if (I < FailIndex) {
@@ -73,8 +86,10 @@ void ThreadPool::forEach(size_t N, const std::function<void(size_t)> &Fn) {
   const size_t Tasks = std::min(numThreads(), N);
   std::vector<std::future<void>> Futures;
   Futures.reserve(Tasks);
-  for (size_t T = 0; T != Tasks; ++T)
-    Futures.push_back(submit(Drain));
+  for (size_t Slot = 0; Slot != Tasks; ++Slot)
+    Futures.push_back(submit([&Drain, Slot] { Drain(Slot); }));
+  // Drain never throws, so every get() returns only once its task is done:
+  // nothing below runs while a call still reads this frame.
   for (std::future<void> &F : Futures)
     F.get();
   if (FailEptr)

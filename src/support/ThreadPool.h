@@ -6,17 +6,27 @@
 ///
 /// \file
 /// A fixed pool of worker threads draining one shared FIFO queue — no work
-/// stealing, no priorities. The evaluation sweeps are embarrassingly
-/// parallel across images once every attack run owns its RNG
-/// (support/Rng.h: Rng::deriveRunSeed), so a plain queue is all the
-/// scheduling the project needs; determinism comes from writing results
-/// into pre-sized output slots, never from task ordering.
+/// stealing, no priorities — and the repo's one clone-per-worker fan-out.
+/// The evaluation sweeps are embarrassingly parallel across images once
+/// every attack run owns its RNG (support/Rng.h: Rng::deriveRunSeed), so a
+/// plain queue is all the scheduling the project needs; determinism comes
+/// from writing results into pre-sized output slots, never from task
+/// ordering.
 ///
-/// submit() returns a std::future<void> whose get() rethrows any exception
-/// the task threw on the worker. forEach() is the common fan-out shape:
-/// run Fn(I) for every I in [0, N) across the pool, block until done, and
-/// rethrow the failing call with the lowest index (a deterministic choice
-/// even though workers race).
+/// Pool threads outlive any one job, so submit() runs every task under the
+/// submitting thread's ambient profile root and trace id: spans and trace
+/// events of a task attribute to the job that queued it, and the worker's
+/// own context is restored afterwards. The future's get() rethrows any
+/// exception the task threw.
+///
+/// forEach() is the fan-out: run Fn(I) for every I in [0, N) across the
+/// pool, block until every call returned, and only then rethrow the
+/// failing call with the lowest index (a deterministic choice even though
+/// workers race, and no call still reads the caller's frame). Its slot
+/// form also passes a worker slot below numThreads() that no two running
+/// calls share, so a caller can give each slot its own classifier clone
+/// (classify/Classifier.h: workerClones). The sweeps, the synthesizer's
+/// islands and scorers, and the query engine's chunks all fan out this way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +60,8 @@ public:
 
   size_t numThreads() const { return Workers.size(); }
 
-  /// Enqueues \p Task. The future's get() blocks until the task ran and
+  /// Enqueues \p Task, to run under the calling thread's ambient profile
+  /// root and trace id. The future's get() blocks until the task ran and
   /// rethrows anything it threw.
   std::future<void> submit(std::function<void()> Task);
 
@@ -58,6 +69,11 @@ public:
   /// calls finished. If any calls throw, the exception of the lowest
   /// failing index is rethrown (the rest still run to completion).
   void forEach(size_t N, const std::function<void(size_t)> &Fn);
+
+  /// forEach() that also passes each call its worker slot: Fn(Slot, I)
+  /// with Slot < numThreads(), and no two calls running at once hold the
+  /// same slot.
+  void forEach(size_t N, const std::function<void(size_t, size_t)> &Fn);
 
   /// std::thread::hardware_concurrency with a floor of 1.
   static size_t hardwareThreads();

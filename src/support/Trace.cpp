@@ -6,9 +6,10 @@
 
 #include "support/Trace.h"
 
+#include "support/Json.h"
+
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <random>
 
@@ -22,18 +23,6 @@ uint64_t monotonicNowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// Appends a double as JSON: finite values as shortest-ish decimal, non-
-/// finite (not representable in JSON) as null.
-void appendJsonDouble(std::string &Out, double V) {
-  if (!std::isfinite(V)) {
-    Out += "null";
-    return;
-  }
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.9g", V);
-  Out += Buf;
 }
 
 /// Thread-local so parallel sweep workers tag their events with their own
@@ -71,54 +60,22 @@ bool copyHexField(const std::string &S, size_t Pos, size_t N,
 
 } // namespace
 
-void oppsla::telemetry::appendJsonEscaped(std::string &Out,
-                                          std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
-
 void TraceField::appendTo(std::string &Out) const {
   Out += '"';
-  appendJsonEscaped(Out, Key);
+  json::escape(Out, Key);
   Out += "\":";
   char Buf[32];
   switch (K) {
   case Kind::Str:
     Out += '"';
-    appendJsonEscaped(Out, Str);
+    json::escape(Out, Str);
     Out += '"';
     break;
   case Kind::Bool:
     Out += B ? "true" : "false";
     break;
   case Kind::Double:
-    appendJsonDouble(Out, D);
+    json::appendNumber(Out, D);
     break;
   case Kind::UInt:
     std::snprintf(Buf, sizeof(Buf), "%" PRIu64, U);
@@ -180,13 +137,13 @@ void TraceWriter::event(const char *Type,
   Line += "{\"ts_us\":";
   Line += Buf;
   Line += ",\"type\":\"";
-  appendJsonEscaped(Line, Type);
+  json::escape(Line, Type);
   Line += '"';
   // Stamp the ambient trace id (when a TraceContextScope is open on this
   // thread) so offline tooling can group a job's events across workers.
   if (!CurrentTraceId.empty()) {
     Line += ",\"trace\":\"";
-    appendJsonEscaped(Line, CurrentTraceId);
+    json::escape(Line, CurrentTraceId);
     Line += '"';
   }
   for (const TraceField &F : Fields) {

@@ -29,14 +29,9 @@
 #include <initializer_list>
 #include <mutex>
 #include <string>
-#include <string_view>
 
 namespace oppsla {
 namespace telemetry {
-
-/// Appends \p S to \p Out with JSON string escaping (quotes, backslashes,
-/// control characters); does not add surrounding quotes.
-void appendJsonEscaped(std::string &Out, std::string_view S);
 
 /// One typed key/value field of a trace event.
 class TraceField {

@@ -12,7 +12,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "attacks/KPixelRS.h"
 #include "attacks/RandomPairSearch.h"
 #include "attacks/SketchAttack.h"
 #include "attacks/SparseRS.h"
@@ -102,13 +101,6 @@ TEST(EngineParity, SuOPA) {
 
 TEST(EngineParity, SparseRS) {
   SparseRS A;
-  checkParity(A);
-}
-
-TEST(EngineParity, KPixelRS) {
-  KPixelRSConfig Config;
-  Config.K = 3;
-  KPixelRS A(Config);
   checkParity(A);
 }
 

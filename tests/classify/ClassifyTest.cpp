@@ -30,6 +30,20 @@ TEST(ArgmaxScore, PicksLargest) {
   EXPECT_EQ(argmaxScore({1.0f, 1.0f}), 0u) << "first wins ties";
 }
 
+TEST(WorkerClones, OneClonePerExtraSlotOrNone) {
+  FakeClassifier C = robustClassifier();
+  EXPECT_EQ(workerClones(C, 4).size(), 3u) << "slot 0 keeps C itself";
+  EXPECT_TRUE(workerClones(C, 1).empty());
+  EXPECT_TRUE(workerClones(C, 0).empty());
+
+  class NoClone : public Classifier {
+  public:
+    std::vector<float> scores(const Image &) override { return {1.0f}; }
+    size_t numClasses() const override { return 1; }
+  } N;
+  EXPECT_TRUE(workerClones(N, 4).empty()) << "not cloneable: run serially";
+}
+
 TEST(FakeClassifier, CountsCalls) {
   FakeClassifier C = robustClassifier();
   const Image Img(4, 4);

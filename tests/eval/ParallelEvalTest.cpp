@@ -15,20 +15,28 @@
 //      subset yields the corresponding slice.
 //   3. And the parallel sweeps (--threads N) are bit-identical to serial,
 //      for attacks, program sweeps, and synthesis candidate scoring.
+//   4. A fan-out whose classifier throws rethrows only once every worker
+//      has stopped, so no worker still reads the caller's unwound frame.
 //
 //===----------------------------------------------------------------------===//
 
 #include "attacks/RandomPairSearch.h"
 #include "attacks/SparseRS.h"
 #include "core/Synthesizer.h"
+#include "engine/QueryEngine.h"
 #include "eval/Evaluation.h"
 
 #include "../TestUtil.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 using namespace oppsla;
 using namespace oppsla::test;
@@ -251,5 +259,103 @@ TEST(ParallelEval, SynthesisIsThreadCountInvariant) {
     EXPECT_EQ(Parallel.Conds[I].Source, Serial.Conds[I].Source);
     EXPECT_EQ(Parallel.Conds[I].Cmp, Serial.Conds[I].Cmp);
     EXPECT_DOUBLE_EQ(Parallel.Conds[I].Threshold, Serial.Conds[I].Threshold);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Failing fan-outs: the exception surfaces after every worker stopped
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Classifier calls in flight and in total, shared by a classifier and
+/// all its clones.
+struct CallLog {
+  std::atomic<int> Active{0};
+  std::atomic<int> Total{0};
+};
+
+/// A robust classifier whose calls take a millisecond, except on 5x5
+/// images, which throw at once. The 6x6 images keep the other workers busy
+/// while the exception travels.
+FakeClassifier throwsOnSmallImages(const std::shared_ptr<CallLog> &Log) {
+  return FakeClassifier(2, [Log](const Image &X) {
+    ++Log->Total;
+    ++Log->Active;
+    struct Leave {
+      CallLog &L;
+      ~Leave() { --L.Active; }
+    } Guard{*Log};
+    if (X.height() == 5)
+      throw std::runtime_error("poisoned image");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return std::vector<float>{0.9f, 0.1f};
+  });
+}
+
+/// Twelve images the robust classifier above never flips; the first, which
+/// the first worker pulls, throws.
+Dataset poisonedSet() {
+  Dataset DS;
+  DS.NumClasses = 2;
+  DS.Images.push_back(randomImage(5, 5, 7));
+  DS.Labels.push_back(0);
+  for (size_t I = 0; I != 11; ++I) {
+    DS.Images.push_back(randomImage(6, 6, 100 + I));
+    DS.Labels.push_back(0);
+  }
+  return DS;
+}
+
+/// Requires that nothing was in flight when the exception arrived and that
+/// no call starts afterwards.
+void expectAllWorkersStopped(const CallLog &Log) {
+  EXPECT_EQ(Log.Active.load(), 0) << "a worker was still running";
+  const int Total = Log.Total.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(Log.Total.load(), Total) << "a worker ran on after the throw";
+}
+
+} // namespace
+
+TEST(ParallelEval, FailingAttackSweepRethrowsAfterEveryWorkerStopped) {
+  const auto Log = std::make_shared<CallLog>();
+  FakeClassifier N = throwsOnSmallImages(Log);
+  RandomPairSearch A;
+  try {
+    runAttackOverSet(A, N, poisonedSet(), /*Budget=*/12, /*Threads=*/4);
+    FAIL() << "expected the classifier's exception";
+  } catch (const std::runtime_error &E) {
+    EXPECT_STREQ(E.what(), "poisoned image");
+    expectAllWorkersStopped(*Log);
+  }
+}
+
+TEST(ParallelEval, FailingProgramScoringRethrowsAfterEveryWorkerStopped) {
+  const auto Log = std::make_shared<CallLog>();
+  FakeClassifier N = throwsOnSmallImages(Log);
+  try {
+    evaluateProgram(paperExampleProgram(), N, poisonedSet(),
+                    /*PerImageCap=*/12, /*Threads=*/4);
+    FAIL() << "expected the classifier's exception";
+  } catch (const std::runtime_error &E) {
+    EXPECT_STREQ(E.what(), "poisoned image");
+    expectAllWorkersStopped(*Log);
+  }
+}
+
+TEST(ParallelEval, FailingEngineForwardRethrowsAfterEveryWorkerStopped) {
+  const auto Log = std::make_shared<CallLog>();
+  FakeClassifier Inner = throwsOnSmallImages(Log);
+  QueryEngineConfig Config;
+  Config.BatchSize = 1;
+  Config.Threads = 2;
+  QueryEngine Engine(Inner, Config);
+  try {
+    Engine.scoresBatch(poisonedSet().Images); // chunk 0 throws
+    FAIL() << "expected the classifier's exception";
+  } catch (const std::runtime_error &E) {
+    EXPECT_STREQ(E.what(), "poisoned image");
+    expectAllWorkersStopped(*Log);
   }
 }

@@ -5,13 +5,16 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/ArgParse.h"
+#include "support/Profiler.h"
 #include "support/ThreadPool.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 using namespace oppsla;
 
@@ -96,6 +99,58 @@ TEST(ThreadPool, ForEachRethrowsLowestFailingIndex) {
     EXPECT_STREQ(E.what(), "fail@7");
   }
   EXPECT_EQ(Ran.load(), 64) << "remaining indices still run";
+}
+
+TEST(ThreadPool, ForEachSlotsAreBelowNumThreadsAndNeverShared) {
+  ThreadPool Pool(4);
+  std::vector<std::atomic<int>> Hits(200);
+  std::vector<std::atomic<int>> Holders(Pool.numThreads());
+  std::atomic<bool> OutOfRange{false}, Shared{false};
+  Pool.forEach(200, [&](size_t Slot, size_t I) {
+    if (Slot >= Pool.numThreads()) {
+      OutOfRange = true;
+      return;
+    }
+    if (Holders[Slot].fetch_add(1) != 0)
+      Shared = true;
+    ++Hits[I];
+    std::this_thread::yield(); // widen the window another holder could hit
+    Holders[Slot].fetch_sub(1);
+  });
+  EXPECT_FALSE(OutOfRange) << "a slot at or above numThreads()";
+  EXPECT_FALSE(Shared) << "two running calls held one slot";
+  for (size_t I = 0; I != Hits.size(); ++I)
+    EXPECT_EQ(Hits[I].load(), 1) << "index " << I;
+}
+
+TEST(ThreadPool, TasksRunUnderTheSubmittersContext) {
+  ThreadPool Pool(1); // one worker, so every task below shares its thread
+  std::string SeenTrace;
+  const char *SeenRoot = nullptr;
+  auto Record = [&] {
+    SeenTrace = telemetry::traceContextId();
+    SeenRoot = telemetry::ambientProfileRoot();
+  };
+  std::vector<std::string> ForEachTraces(8);
+  {
+    telemetry::TraceContextScope Trace("0123456789abcdef0123456789abcdef");
+    telemetry::ProfileTaskScope Root("job.7");
+    Pool.submit(Record).get();
+    Pool.forEach(ForEachTraces.size(), [&](size_t I) {
+      ForEachTraces[I] = telemetry::traceContextId();
+    });
+  }
+  EXPECT_EQ(SeenTrace, "0123456789abcdef0123456789abcdef");
+  ASSERT_NE(SeenRoot, nullptr);
+  EXPECT_STREQ(SeenRoot, "job.7");
+  for (const std::string &T : ForEachTraces)
+    EXPECT_EQ(T, "0123456789abcdef0123456789abcdef");
+
+  // The worker gives the job's context back: a task queued without one
+  // runs without one on the same thread.
+  Pool.submit(Record).get();
+  EXPECT_EQ(SeenTrace, "");
+  EXPECT_EQ(SeenRoot, nullptr);
 }
 
 TEST(ThreadPool, HardwareThreadsIsPositive) {
