@@ -7,10 +7,12 @@
 // GFLOP/s of the packed, register-blocked GEMM (tensor/Gemm.h) against the
 // scalar reference matmul, at the conv shapes the zoo actually lowers to:
 // M = OutC, K = InC*KH*KW, N = Batch*OH*OW. Each timed iteration includes
-// the A-panel repack, matching what Conv2d::forward pays per call. Emits
-// BENCH_gemm.json (schema 2) for the bench ledger; `peak_gflops` is the
-// gate_manifest.json ratio-ruled headline, so a kernel regression fails
-// `ctest -R bench_gate` once the artifact is ingested.
+// the A-panel repack. Conv2d and Linear pay that repack only on the first
+// forward after a parameter write (DESIGN.md §12), not per call; it stays
+// in the loop so the figures remain comparable with earlier ledger rows.
+// Emits BENCH_gemm.json (schema 2) for the bench ledger; `peak_gflops` is
+// the gate_manifest.json ratio-ruled headline, so a kernel regression
+// fails `ctest -R bench_gate` once the artifact is ingested.
 //
 //===----------------------------------------------------------------------===//
 

@@ -28,8 +28,8 @@ std::unique_ptr<Classifier> NNClassifier::clone() const {
   std::unique_ptr<Sequential> Fresh = Builder();
   assert(Fresh && "model builder returned null");
 
-  // parameters()/buffers() are non-const traversals but do not mutate the
-  // model; the source stays logically untouched.
+  // parameters()/buffers() are non-const traversals and move the parameter
+  // generation, but write nothing; the source stays logically untouched.
   Sequential &Src = *Model;
   const std::vector<ParamRef> SrcParams = Src.parameters();
   const std::vector<ParamRef> DstParams = Fresh->parameters();
@@ -70,7 +70,8 @@ telemetry::Counter &fullImagesCounter() {
 /// Sorts Imgs[I] for I in \p Idx by their distance to \p Ref: an image of
 /// Ref's shape with at most NNClassifier::MaxDeltaPixels pixels whose bytes
 /// differ goes to \p Near, with the window bounding those pixels appended
-/// to \p Windows; any other image goes to \p Far.
+/// to \p Windows; any other image goes to \p Far. Rows are compared whole
+/// first; only a row that differs is compared pixel by pixel.
 void partition(std::span<const Image> Imgs, std::span<const size_t> Idx,
                const Image &Ref, std::vector<size_t> &Near,
                std::vector<DeltaWindow> &Windows, std::vector<size_t> &Far) {
@@ -80,14 +81,19 @@ void partition(std::span<const Image> Imgs, std::span<const size_t> Idx,
                  Img.width() == Ref.width();
     DeltaWindow Win;
     size_t Changed = 0;
-    const float *A = Img.raw().data(), *B = Ref.raw().data();
-    for (size_t P = 0; Close && P != Img.numPixels(); ++P) {
-      if (std::memcmp(A + 3 * P, B + 3 * P, 3 * sizeof(float)) == 0)
+    const size_t RowFloats = 3 * Img.width();
+    for (size_t Row = 0; Close && Row != Img.height(); ++Row) {
+      const float *A = Img.raw().data() + Row * RowFloats;
+      const float *B = Ref.raw().data() + Row * RowFloats;
+      if (std::memcmp(A, B, RowFloats * sizeof(float)) == 0)
         continue;
-      Close = ++Changed <= NNClassifier::MaxDeltaPixels;
-      const long Row = static_cast<long>(P / Img.width());
-      const long Col = static_cast<long>(P % Img.width());
-      Win = Win.unite({Row, Row + 1, Col, Col + 1});
+      for (size_t Col = 0; Close && Col != Img.width(); ++Col) {
+        if (std::memcmp(A + 3 * Col, B + 3 * Col, 3 * sizeof(float)) == 0)
+          continue;
+        Close = ++Changed <= NNClassifier::MaxDeltaPixels;
+        const long R = static_cast<long>(Row), C = static_cast<long>(Col);
+        Win = Win.unite({R, R + 1, C, C + 1});
+      }
     }
     if (Close) {
       Near.push_back(I);
@@ -137,7 +143,7 @@ std::vector<std::vector<float>> NNClassifier::scoresBatch(
     return Out;
   }
   if (!Model->hasReference())
-    Reference = Image(); // none captured yet, or a Train forward dropped it
+    Reference = Image(); // none captured yet, or the parameters moved since
 
   DeltaPass Near;
   std::vector<size_t> NearIdx, Far;

@@ -29,12 +29,10 @@ Tensor BatchNorm2d::forward(const Tensor &In, bool Train) {
     // form shared with the fused GEMM epilogue. The explicit std::fma is
     // part of the kernel determinism contract (DESIGN.md §12): fused and
     // unfused paths perform the identical rounding per element.
-    AffineScale.resize(Channels);
-    AffineShift.resize(Channels);
-    inferenceAffine(AffineScale, AffineShift);
+    const Affine A = inferenceAffine();
     for (size_t C = 0; C != Channels; ++C) {
-      const float Scale = AffineScale[C];
-      const float Shift = AffineShift[C];
+      const float Scale = A.Scale[C];
+      const float Shift = A.Shift[C];
       for (size_t B = 0; B != N; ++B) {
         const float *Src = In.data() + (B * Channels + C) * Plane;
         float *Dst = Out.data() + (B * Channels + C) * Plane;
@@ -45,7 +43,8 @@ Tensor BatchNorm2d::forward(const Tensor &In, bool Train) {
     return Out;
   }
 
-  // Training: batch statistics per channel.
+  // Training: batch statistics per channel, folded into the running ones.
+  bumpParamGeneration();
   const double Count = static_cast<double>(N * Plane);
   CachedXHat = Tensor(In.shape());
   CachedInvStd = Tensor({Channels});
@@ -129,19 +128,24 @@ Tensor BatchNorm2d::backward(const Tensor &GradOut) {
   return GradIn;
 }
 
-void BatchNorm2d::inferenceAffine(std::vector<float> &Scale,
-                                  std::vector<float> &Shift) const {
-  Scale.resize(Channels);
-  Shift.resize(Channels);
-  for (size_t C = 0; C != Channels; ++C) {
-    const float InvStd = 1.0f / std::sqrt(RunningVar[C] + Eps);
-    Scale[C] = Gamma[C] * InvStd;
-    Shift[C] = Beta[C] - RunningMean[C] * Scale[C];
+BatchNorm2d::Affine BatchNorm2d::inferenceAffine() {
+  const uint64_t Gen = paramGeneration();
+  if (AffineGen != Gen) {
+    AffineScale.resize(Channels);
+    AffineShift.resize(Channels);
+    for (size_t C = 0; C != Channels; ++C) {
+      const float InvStd = 1.0f / std::sqrt(RunningVar[C] + Eps);
+      AffineScale[C] = Gamma[C] * InvStd;
+      AffineShift[C] = Beta[C] - RunningMean[C] * AffineScale[C];
+    }
+    AffineGen = Gen;
   }
+  return {AffineScale.data(), AffineShift.data()};
 }
 
 void BatchNorm2d::collectParams(const std::string &Prefix,
                                 std::vector<ParamRef> &Params) {
+  bumpParamGeneration();
   Params.push_back({Prefix + ".gamma", &Gamma, &GammaGrad});
   Params.push_back({Prefix + ".beta", &Beta, &BetaGrad});
 }
@@ -149,6 +153,7 @@ void BatchNorm2d::collectParams(const std::string &Prefix,
 void BatchNorm2d::collectBuffers(
     const std::string &Prefix,
     std::vector<std::pair<std::string, Tensor *>> &Buffers) {
+  bumpParamGeneration();
   Buffers.push_back({Prefix + ".running_mean", &RunningMean});
   Buffers.push_back({Prefix + ".running_var", &RunningVar});
 }

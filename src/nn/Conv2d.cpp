@@ -115,19 +115,23 @@ void Conv2d::directWindow(const float *Item, size_t H, size_t W,
 }
 
 void Conv2d::packWeight() {
+  const uint64_t Gen = paramGeneration();
+  if (PackedGen == Gen)
+    return;
   const size_t K = Weight.dim(1);
-  // Repacked every forward: the optimizer writes Weight in place through
-  // ParamRef with no invalidation hook, and packing is O(OutC*K) against
-  // the GEMM's O(OutC*K*N).
   PackedWeight.resize(gemmPackedSize(OutC, K));
   gemmPackA(Weight.data(), OutC, K, PackedWeight.data());
+  PackedGen = Gen;
 }
 
 void Conv2d::packDirectWeight() {
-  // Repacked every forward, like packWeight.
+  const uint64_t Gen = paramGeneration();
+  if (DirectGen == Gen)
+    return;
   const size_t K = Weight.dim(1);
   DirectWeight.resize(convDirectStride(OutC) * K);
   convPackDirect(Weight.data(), OutC, K, DirectWeight.data());
+  DirectGen = Gen;
 }
 
 void Conv2d::noteScratchRealloc(bool Grew) {
@@ -167,21 +171,20 @@ Tensor Conv2d::forward(const Tensor &In, bool Train) {
   return Out;
 }
 
-GemmEpilogue Conv2d::fusedEpilogue(const BatchNorm2d *Bn, bool Relu) {
+GemmEpilogue Conv2d::fusedEpilogue(BatchNorm2d *Bn, bool Relu) {
   assert((!Bn || Bn->channels() == OutC) && "fused batchnorm channel count");
   GemmEpilogue Ep;
   Ep.Bias = HasBias ? Bias.data() : nullptr;
   if (Bn) {
-    Bn->inferenceAffine(FusedScale, FusedShift);
-    Ep.Scale = FusedScale.data();
-    Ep.Shift = FusedShift.data();
+    const BatchNorm2d::Affine A = Bn->inferenceAffine();
+    Ep.Scale = A.Scale;
+    Ep.Shift = A.Shift;
   }
   Ep.Relu = Relu;
   return Ep;
 }
 
-Tensor Conv2d::forwardFused(const Tensor &In, const BatchNorm2d *Bn,
-                            bool Relu) {
+Tensor Conv2d::forwardFused(const Tensor &In, BatchNorm2d *Bn, bool Relu) {
   assert(!kernels::naive() && "fused forward requires fast kernels");
   Tensor Out(outputShape(In));
   const size_t N = Out.dim(0), OH = Out.dim(2), OW = Out.dim(3);
@@ -203,9 +206,8 @@ Tensor Conv2d::forwardFused(const Tensor &In, const BatchNorm2d *Bn,
   return Out;
 }
 
-Tensor Conv2d::forwardFusedDelta(const Tensor &In, const BatchNorm2d *Bn,
-                                 bool Relu, DeltaPass &Pass,
-                                 const Tensor &Ref) {
+Tensor Conv2d::forwardFusedDelta(const Tensor &In, BatchNorm2d *Bn, bool Relu,
+                                 DeltaPass &Pass, const Tensor &Ref) {
   assert(Pass.Windows.size() == In.dim(0) && "one window per batch item");
   const Shape OutShape = outputShape(In);
   const size_t N = OutShape[0], OH = OutShape[2], OW = OutShape[3];
@@ -277,6 +279,7 @@ Tensor Conv2d::backward(const Tensor &GradOut) {
 
 void Conv2d::collectParams(const std::string &Prefix,
                            std::vector<ParamRef> &Params) {
+  bumpParamGeneration();
   Params.push_back({Prefix + ".weight", &Weight, &WeightGrad});
   if (HasBias)
     Params.push_back({Prefix + ".bias", &Bias, &BiasGrad});

@@ -39,14 +39,14 @@ public:
   /// each output tile is still in registers). Only called by Sequential's
   /// fusion plan when fast kernels are enabled; bit-identical to running
   /// the unfused layers in sequence (DESIGN.md §12).
-  Tensor forwardFused(const Tensor &In, const BatchNorm2d *Bn, bool Relu);
+  Tensor forwardFused(const Tensor &In, BatchNorm2d *Bn, bool Relu);
 
   /// Delta flavor of forwardFused (Layer::forwardDelta): the direct
   /// kernel recomputes only the output pixels inside each item's dirty
   /// window, with the same fused epilogue, straight into that item's copy
   /// of \p Ref. Each output element is the same fma chain as in
   /// forwardFused, so the bytes are identical.
-  Tensor forwardFusedDelta(const Tensor &In, const BatchNorm2d *Bn, bool Relu,
+  Tensor forwardFusedDelta(const Tensor &In, BatchNorm2d *Bn, bool Relu,
                            DeltaPass &Pass, const Tensor &Ref);
 
   Tensor backward(const Tensor &GradOut) override;
@@ -60,8 +60,16 @@ public:
   size_t stride() const { return Stride; }
   size_t padding() const { return Pad; }
 
-  Tensor &weight() { return Weight; }
-  Tensor &bias() { return Bias; }
+  /// Mutable access moves the parameter generation (nn/Layer.h), so the
+  /// next inference forward repacks.
+  Tensor &weight() {
+    bumpParamGeneration();
+    return Weight;
+  }
+  Tensor &bias() {
+    bumpParamGeneration();
+    return Bias;
+  }
 
   /// How many times the inference scratch buffers had to grow. With
   /// capacity-based reuse this stays at the high-water mark count (engine
@@ -82,10 +90,14 @@ private:
   void directWindow(const float *Item, size_t H, size_t W,
                     const DeltaWindow &Win, float *OutItem, size_t OH,
                     size_t OW, const GemmEpilogue &Ep);
+  /// Pack Weight for the GEMM (PackedWeight) and the direct kernel
+  /// (DirectWeight), each unless already packed at the current parameter
+  /// generation.
   void packWeight();
   void packDirectWeight();
-  /// The fused epilogue for this layer's bias plus \p Bn and \p Relu.
-  GemmEpilogue fusedEpilogue(const BatchNorm2d *Bn, bool Relu);
+  /// The fused epilogue for this layer's bias plus \p Bn's folded affine
+  /// and \p Relu.
+  GemmEpilogue fusedEpilogue(BatchNorm2d *Bn, bool Relu);
   /// Counts a scratch growth event in the layer and in telemetry.
   void noteScratchRealloc(bool Grew);
 
@@ -102,13 +114,12 @@ private:
   size_t ScratchReallocCount = 0;
   // Receptive-field patch of the direct kernel's current window.
   std::vector<float> Patch;
-  // Fast-kernel scratch: Weight packed into MR-row panels for the GEMM and
-  // k-major for the direct kernel (each rebuilt on every forward that uses
-  // it — packing is O(M*K) against the kernels' O(M*K*N), and the optimizer
-  // mutates Weight in place between forwards) and the folded BatchNorm
-  // affine coefficients for the fused epilogue.
+  // Weight packed into MR-row panels for the GEMM and k-major for the
+  // direct kernel, each built by the first forward that needs it and
+  // rebuilt only once the parameter generation has moved (PackedGen and
+  // DirectGen: the generation each was built at, 0 before the first).
   std::vector<float> PackedWeight, DirectWeight;
-  std::vector<float> FusedScale, FusedShift;
+  uint64_t PackedGen = 0, DirectGen = 0;
 };
 
 } // namespace oppsla

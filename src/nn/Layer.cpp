@@ -7,11 +7,16 @@
 #include "nn/Layer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 using namespace oppsla;
 
 namespace {
+
+/// Starts at 1 so that a generation of 0 never matches (see
+/// paramGeneration()).
+std::atomic<uint64_t> ParamGeneration{1};
 
 /// floor(A / B) and ceil(A / B) for B > 0 and A of either sign (plain `/`
 /// truncates toward zero).
@@ -79,6 +84,14 @@ Tensor oppsla::tileReference(const Tensor &Ref, size_t N) {
   for (size_t B = 0; B != N; ++B)
     std::memcpy(Out.data() + B * Item, Ref.data(), Item * sizeof(float));
   return Out;
+}
+
+uint64_t oppsla::paramGeneration() {
+  return ParamGeneration.load(std::memory_order_relaxed);
+}
+
+void oppsla::bumpParamGeneration() {
+  ParamGeneration.fetch_add(1, std::memory_order_relaxed);
 }
 
 Layer::~Layer() = default;

@@ -21,6 +21,7 @@
 
 #include "tensor/Tensor.h"
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,6 +86,24 @@ struct DeltaPass {
 /// output \p Ref: the starting point of every windowed delta layer.
 Tensor tileReference(const Tensor &Ref, size_t N);
 
+/// The parameter generation: one process-wide counter that moves whenever
+/// a parameter or buffer may be written. Inference state derived from
+/// parameters (packed weights, the folded BatchNorm affine, the delta
+/// reference) records the generation it was built at and is rebuilt only
+/// once the generation has moved (DESIGN.md §12). It moves on every path
+/// that hands out or writes a parameter or buffer: collectParams and
+/// collectBuffers (so parameters(), buffers(), loadModel and
+/// NNClassifier::clone), the mutable weight()/bias()/runningMean()/
+/// runningVar() accessors, Sgd::step and Adam::step, and every Train
+/// forward. A write through a reference kept from before a forward is not
+/// seen: fetch the reference again. Never 0, so 0 means "never built".
+uint64_t paramGeneration();
+
+/// Moves the parameter generation (relaxed: a layer only reads the
+/// generation on the thread that writes its parameters, or after a
+/// hand-off that already orders the writes).
+void bumpParamGeneration();
+
 /// Abstract base for all layers.
 class Layer {
 public:
@@ -109,12 +128,15 @@ public:
   virtual Tensor backward(const Tensor &GradOut) = 0;
 
   /// Appends this layer's parameters (if any) to \p Params, prefixing their
-  /// names with \p Prefix.
+  /// names with \p Prefix. A layer that appends a parameter moves the
+  /// parameter generation: the caller may write through the pointers.
   virtual void collectParams(const std::string &Prefix,
                              std::vector<ParamRef> &Params);
 
   /// Appends non-learned persistent state (e.g. batchnorm running stats)
-  /// that serialization must carry but optimizers must not touch.
+  /// that serialization must carry but optimizers must not touch. A layer
+  /// that appends a buffer moves the parameter generation, like
+  /// collectParams.
   virtual void collectBuffers(const std::string &Prefix,
                               std::vector<std::pair<std::string, Tensor *>>
                                   &Buffers);

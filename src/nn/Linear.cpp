@@ -41,8 +41,12 @@ Tensor Linear::forward(const Tensor &In, bool Train) {
     // {N, OutF}, exactly this layer's output layout. Both paths reduce k
     // ascending through the same fma chain (fma is commutative in its
     // first two arguments), so this is bit-identical to the naive path.
-    PackedWeight.resize(gemmPackedSize(OutF, InF));
-    gemmPackA(Weight.data(), OutF, InF, PackedWeight.data());
+    const uint64_t Gen = paramGeneration();
+    if (PackedGen != Gen) {
+      PackedWeight.resize(gemmPackedSize(OutF, InF));
+      gemmPackA(Weight.data(), OutF, InF, PackedWeight.data());
+      PackedGen = Gen;
+    }
     ScratchInT.resize(InF * N);
     const float *InD = In2d.data();
     for (size_t I = 0; I != N; ++I)
@@ -90,6 +94,7 @@ Tensor Linear::backward(const Tensor &GradOut) {
 
 void Linear::collectParams(const std::string &Prefix,
                            std::vector<ParamRef> &Params) {
+  bumpParamGeneration();
   Params.push_back({Prefix + ".weight", &Weight, &WeightGrad});
   Params.push_back({Prefix + ".bias", &Bias, &BiasGrad});
 }

@@ -29,17 +29,28 @@ public:
 
   size_t inFeatures() const { return InF; }
   size_t outFeatures() const { return OutF; }
-  Tensor &weight() { return Weight; }
-  Tensor &bias() { return Bias; }
+  /// Mutable access moves the parameter generation (nn/Layer.h), so the
+  /// next inference forward repacks.
+  Tensor &weight() {
+    bumpParamGeneration();
+    return Weight;
+  }
+  Tensor &bias() {
+    bumpParamGeneration();
+    return Bias;
+  }
 
 private:
   size_t InF, OutF;
   Tensor Weight, WeightGrad; ///< {OutF, InF}
   Tensor Bias, BiasGrad;     ///< {OutF}
   Tensor CachedIn;           ///< {N, InF} from the last training forward
-  // Inference scratch for the packed-GEMM path: the tile-major weight
-  // pack and the {InF, N} input transpose. Reused across calls.
+  // The packed-GEMM path's tile-major weight pack, built at parameter
+  // generation PackedGen (0 before the first) and rebuilt only once the
+  // generation has moved, and its {InF, N} input transpose, reused across
+  // calls.
   std::vector<float> PackedWeight;
+  uint64_t PackedGen = 0;
   std::vector<float> ScratchInT;
 };
 

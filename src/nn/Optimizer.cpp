@@ -22,6 +22,7 @@ Sgd::Sgd(std::vector<ParamRef> Params, float Lr, float Momentum,
 }
 
 void Sgd::step() {
+  bumpParamGeneration();
   for (size_t I = 0; I != Params.size(); ++I) {
     Tensor &W = *Params[I].Value;
     const Tensor &G = *Params[I].Grad;
@@ -50,6 +51,7 @@ Adam::Adam(std::vector<ParamRef> Params, float Lr, float Beta1, float Beta2,
 }
 
 void Adam::step() {
+  bumpParamGeneration();
   ++T;
   const float Bc1 = 1.0f - std::pow(Beta1, static_cast<float>(T));
   const float Bc2 = 1.0f - std::pow(Beta2, static_cast<float>(T));

@@ -18,7 +18,9 @@ public:
       : Params(std::move(Params)) {}
   virtual ~Optimizer();
 
-  /// Applies one update using the accumulated gradients.
+  /// Applies one update using the accumulated gradients. Every step moves
+  /// the parameter generation (nn/Layer.h): it writes through the ParamRefs
+  /// handed out when the optimizer was built.
   virtual void step() = 0;
 
   /// Clears all gradients.

@@ -58,7 +58,7 @@ void Sequential::buildFusionPlan() {
 
 Tensor Sequential::forward(const Tensor &In, bool Train) {
   if (Train)
-    StepRefs.clear();
+    bumpParamGeneration();
   return run(In, Train, nullptr);
 }
 
@@ -96,8 +96,10 @@ Tensor Sequential::run(const Tensor &In, bool Train, DeltaPass *Pass) {
   assert((Fast || !Pass) && "delta forwards need fast-kernel inference");
   if (Fast && FusionPlanLayers != Layers.size())
     buildFusionPlan();
-  if (Pass && Pass->Capture)
+  if (Pass && Pass->Capture) {
     StepRefs.resize(FusionPlan.size());
+    RefGeneration = paramGeneration();
+  }
   assert((!Pass || StepRefs.size() == FusionPlan.size()) &&
          "delta forward without a captured reference");
 

@@ -54,8 +54,9 @@ public:
     return *Layers[I];
   }
 
-  /// A Train forward drops the captured reference: training is about to
-  /// change the weights it was computed with.
+  /// A Train forward moves the parameter generation, which drops the
+  /// captured reference: training is about to change the weights it was
+  /// computed with.
   Tensor forward(const Tensor &In, bool Train) override;
   Tensor forwardDelta(const Tensor &In, DeltaPass &Pass,
                       const Tensor &Ref) override;
@@ -72,9 +73,12 @@ public:
   /// Convenience: all persistent buffers with a fresh prefix.
   std::vector<std::pair<std::string, Tensor *>> buffers();
 
-  /// True once a capturing delta pass recorded a reference that no Train
-  /// forward has dropped since.
-  bool hasReference() const { return !StepRefs.empty(); }
+  /// True once a capturing delta pass recorded a reference and the
+  /// parameter generation (nn/Layer.h) has not moved since: no parameter or
+  /// buffer was handed out or written, and no Train forward ran.
+  bool hasReference() const {
+    return !StepRefs.empty() && RefGeneration == paramGeneration();
+  }
 
 private:
   /// One execution step of the fusion plan: either a single plain layer
@@ -103,8 +107,9 @@ private:
   std::vector<LayerPtr> Layers;
   std::vector<FusedStep> FusionPlan;
   /// Reference output of each fusion-plan step ({1, ...}), recorded by the
-  /// last capturing delta pass.
+  /// last capturing delta pass at parameter generation RefGeneration.
   std::vector<Tensor> StepRefs;
+  uint64_t RefGeneration = 0;
   size_t FusionPlanLayers = static_cast<size_t>(-1);
   /// Interned `nn.<ii>.<layer>` span names for the profiler, built lazily
   /// on the first profiled forward (index-aligned with Layers).

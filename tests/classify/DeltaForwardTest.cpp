@@ -11,8 +11,8 @@
 // comparison below is a memcmp against a twin model that always runs the
 // full fast path — for every zoo architecture, changed pixels at the
 // corners, edges and center, k = 0..4 changed pixels, batch sizes 1 to 32,
-// mixed batches and reference switches. The telemetry counters prove the
-// delta path actually ran.
+// mixed batches and reference switches, and after Train forwards and
+// loadModel. The telemetry counters prove the delta path actually ran.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,7 @@
 #include "nn/Layer.h"
 #include "nn/Loss.h"
 #include "nn/ModelZoo.h"
+#include "nn/Serialize.h"
 #include "support/Metrics.h"
 #include "support/Rng.h"
 #include "tensor/Gemm.h"
@@ -27,8 +28,12 @@
 
 #include "TestUtil.h"
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <gtest/gtest.h>
+#include <thread>
 
 using namespace oppsla;
 using test::randomImage;
@@ -318,8 +323,74 @@ TEST_P(DeltaForwardTest, TrainForwardsNeverTakeItAndDropTheReference) {
   EXPECT_EQ(deltaImages(), Delta0 + 1);
 }
 
+TEST_P(DeltaForwardTest, LoadModelDropsTheReference) {
+  expectScores(Base, "clean image");
+  ASSERT_TRUE(Owned->hasReference());
+
+  // Other weights into both models: the reference was computed with the
+  // old ones.
+  Rng R(0x10ad);
+  const std::unique_ptr<Sequential> Other =
+      buildModel(GetParam().A, Classes, Side, R);
+  const std::string Path =
+      (std::filesystem::temp_directory_path() /
+       ("oppsla_delta_load_" + std::string(archName(GetParam().A)) + "_" +
+        std::to_string(Side) + ".bin"))
+          .string();
+  ASSERT_TRUE(saveModel(*Other, Path));
+  ASSERT_TRUE(loadModel(*Owned, Path));
+  ASSERT_TRUE(loadModel(*Twin, Path));
+  std::remove(Path.c_str());
+  EXPECT_FALSE(Owned->hasReference());
+
+  const size_t Delta0 = deltaImages(), Full0 = fullImages();
+  expectScores(withPixels(Base, {{1, 1}}, 1), "after loadModel");
+  EXPECT_EQ(fullImages(), Full0 + 1) << "recaptured with the new weights";
+  expectScores(withPixels(Base, {{1, 2}}, 2), "delta after loadModel");
+  EXPECT_EQ(deltaImages(), Delta0 + 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllArchitectures, DeltaForwardTest,
                          ::testing::ValuesIn(Cases), caseName);
+
+TEST(DeltaForward, ClonesOnAnotherThreadChangeNoByte) {
+  // The parameter generation is process-wide: another thread cloning its
+  // own classifier moves it at any point of this thread's forwards. Each
+  // move may cost a repack and a new reference, never a byte.
+  kernels::setNaive(false);
+  const ArchCase C{Arch::MiniResNet, 8};
+  NNClassifier N(makeModel(C), Classes, "delta");
+  NNClassifier Other(makeModel(C), Classes, "other");
+  Other.setModelBuilder([C] { return makeModel(C); });
+  const std::unique_ptr<Sequential> Twin = makeModel(C);
+
+  // Near and far images of two bases, so calls both capture and delta.
+  const Image BaseA = randomImage(C.Side, C.Side, 0xc10a);
+  const Image BaseB = randomImage(C.Side, C.Side, 0xc10b);
+  Rng R(0xc10c);
+  std::vector<Image> Imgs;
+  for (size_t I = 0; I != 12; ++I)
+    Imgs.push_back(withPixels(I % 3 == 2 ? BaseB : BaseA,
+                              randomPositions(C.Side, 1 + I % 4, R), I));
+  std::vector<std::vector<float>> Expected;
+  for (const Image &Img : Imgs)
+    Expected.push_back(fullScores(*Twin, Img));
+
+  std::atomic<bool> Done{false};
+  std::thread Cloner([&] {
+    while (!Done.load())
+      EXPECT_NE(Other.clone(), nullptr);
+  });
+  size_t Mismatches = 0;
+  for (size_t Round = 0; Round != 40; ++Round) {
+    const auto Got = N.scoresBatch(std::span<const Image>(Imgs));
+    for (size_t I = 0; I != Imgs.size(); ++I)
+      Mismatches += !bitIdentical(Got[I], Expected[I]);
+  }
+  Done.store(true);
+  Cloner.join();
+  EXPECT_EQ(Mismatches, 0u);
+}
 
 TEST(DeltaWindow, ThroughClampsAtBorders) {
   // A corner pixel through a 3x3, stride 1, pad 1 conv on 8x8.

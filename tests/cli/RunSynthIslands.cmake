@@ -5,10 +5,17 @@
 # (seed, islands, exchange interval), never of the thread count. Both
 # searches run live (--no-program-store), then a store-backed pair checks
 # that a warm store rehydrates the same bytes the search produced.
+#
+# Class 1 of the smoke victim has training images the candidates can
+# attack, so the islands really search; a class whose images are all
+# misclassified already makes every run return the fixed program, which
+# no threading bug can change. Any run that logs "synthesis saw no
+# successful training attack" therefore fails the test.
 # Inputs: CLI, WORK_DIR.
 file(MAKE_DIRECTORY ${WORK_DIR})
-set(COMMON synthesize --scale smoke --class 0 --synth-islands 4
+set(COMMON synthesize --scale smoke --class 1 --synth-islands 4
   --exchange-interval 2)
+set(NO_SEARCH "synthesis saw no successful training attack")
 
 # Live search at two thread counts.
 foreach(T 4 1)
@@ -17,10 +24,17 @@ foreach(T 4 1)
       ${CLI} ${COMMON} --threads ${T} --no-program-store
       --out ${WORK_DIR}/prog_t${T}.txt
     OUTPUT_VARIABLE OUT
+    ERROR_VARIABLE ERR
     RESULT_VARIABLE RC)
   if(NOT RC EQUAL 0)
     message(FATAL_ERROR
-      "synthesize --threads ${T} failed with ${RC}: ${OUT}")
+      "synthesize --threads ${T} failed with ${RC}: ${OUT}${ERR}")
+  endif()
+  string(FIND "${ERR}" "${NO_SEARCH}" AT)
+  if(NOT AT EQUAL -1)
+    message(FATAL_ERROR
+      "synthesize --threads ${T} attacked no training image, so the "
+      "comparison cannot see the islands: ${ERR}")
   endif()
 endforeach()
 execute_process(
@@ -43,9 +57,16 @@ foreach(PASS cold warm)
       --program-store ${WORK_DIR}/store
       --out ${WORK_DIR}/prog_${PASS}.txt
     OUTPUT_VARIABLE OUT
+    ERROR_VARIABLE ERR
     RESULT_VARIABLE RC)
   if(NOT RC EQUAL 0)
-    message(FATAL_ERROR "synthesize (${PASS}) failed with ${RC}: ${OUT}")
+    message(FATAL_ERROR
+      "synthesize (${PASS}) failed with ${RC}: ${OUT}${ERR}")
+  endif()
+  string(FIND "${ERR}" "${NO_SEARCH}" AT)
+  if(NOT AT EQUAL -1)
+    message(FATAL_ERROR
+      "synthesize (${PASS}) attacked no training image: ${ERR}")
   endif()
 endforeach()
 execute_process(

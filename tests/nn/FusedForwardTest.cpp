@@ -16,7 +16,10 @@
 // forwards on wide maps) and the naive path runs im2col + matmul, so these
 // tests also check the direct kernel's padded patches and lane groups
 // (full and delta forwards, at changing input sizes) against an
-// independent lowering.
+// independent lowering. The fast path keeps its packed weights, folded
+// BatchNorm affine and delta reference from one forward to the next; the
+// write tests at the end check that every way of writing a parameter or
+// buffer rebuilds the first two and drops the third.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +27,12 @@
 #include "nn/BatchNorm2d.h"
 #include "nn/Blocks.h"
 #include "nn/Conv2d.h"
+#include "nn/Linear.h"
+#include "nn/Loss.h"
+#include "nn/Misc.h"
 #include "nn/ModelZoo.h"
+#include "nn/Optimizer.h"
+#include "nn/Pooling.h"
 #include "nn/Sequential.h"
 #include "support/Rng.h"
 #include "tensor/Gemm.h"
@@ -33,6 +41,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 
 using namespace oppsla;
 
@@ -372,4 +381,133 @@ TEST(FusedForward, TrainingForwardIgnoresFusion) {
   kernels::setNaive(false);
   for (size_t I = 0; I != FastTrain.numel(); ++I)
     ASSERT_EQ(FastTrain[I], NaiveTrain[I]) << "at " << I;
+}
+
+namespace {
+
+/// The model of the parameter-write tests and the layers a write reaches
+/// into: every piece of inference state the fast path keeps between
+/// forwards.
+struct WriteCase {
+  Sequential Model;
+  Conv2d *WideConv = nullptr;   ///< 8x8 output: im2col + the packed GEMM
+  BatchNorm2d *FusedBn = nullptr;
+  BatchNorm2d *PlainBn = nullptr; ///< after a pool: BatchNorm2d::forward
+  Conv2d *NarrowConv = nullptr;   ///< 4x4 output: the direct kernel
+  Linear *Head = nullptr;
+
+  WriteCase() {
+    Rng R(91);
+    WideConv = &Model.emplace<Conv2d>(3, 8, 3, 1, 1, R, /*HasBias=*/false);
+    FusedBn = &Model.emplace<BatchNorm2d>(8);
+    Model.emplace<ReLU>();
+    Model.emplace<MaxPool2d>(2);
+    PlainBn = &Model.emplace<BatchNorm2d>(8);
+    NarrowConv = &Model.emplace<Conv2d>(8, 16, 3, 1, 1, R);
+    Model.emplace<BatchNorm2d>(16);
+    Model.emplace<ReLU>();
+    Model.emplace<Flatten>();
+    Head = &Model.emplace<Linear>(16 * 4 * 4, 5, R);
+    perturbRunningStats(Model, 92);
+  }
+};
+
+Tensor writeCaseInput() { return randomInput({2, 3, 8, 8}, 93); }
+
+bool sameBytes(const Tensor &A, const Tensor &B) {
+  return A.shape() == B.shape() &&
+         std::memcmp(A.data(), B.data(), A.numel() * sizeof(float)) == 0;
+}
+
+/// Runs a capturing delta pass (a fast full forward that also records the
+/// delta reference), \p Write, and a fast forward. Expects the write to
+/// drop the reference, and the second forward to be the --naive-kernels
+/// forward's bytes and to differ from the first: whatever the first
+/// forward packed or folded was rebuilt.
+void expectRebuiltAfter(WriteCase &C, const std::function<void()> &Write) {
+  const Tensor In = writeCaseInput();
+  kernels::setNaive(false);
+  DeltaPass Capture;
+  Capture.Capture = Capture.Saturated = true;
+  Capture.Windows.resize(In.dim(0));
+  const Tensor Before = C.Model.forwardDelta(In, Capture, Tensor());
+  ASSERT_TRUE(C.Model.hasReference());
+  Write();
+  EXPECT_FALSE(C.Model.hasReference()) << "the write kept the reference";
+  const Tensor After = C.Model.forward(In, /*Train=*/false);
+  kernels::setNaive(true);
+  const Tensor Naive = C.Model.forward(In, /*Train=*/false);
+  kernels::setNaive(false);
+  EXPECT_TRUE(sameBytes(After, Naive))
+      << "the fast forward after the write differs from the naive one";
+  EXPECT_FALSE(sameBytes(Before, After)) << "the write changed nothing";
+}
+
+void scale(Tensor &T, float By) {
+  for (float &V : T.vec())
+    V *= By;
+}
+
+} // namespace
+
+TEST(FusedForward, ParameterWritesRebuildPacksAndDropTheReference) {
+  using Write = std::function<void(WriteCase &)>;
+  const std::pair<const char *, Write> Writes[] = {
+      {"GEMM conv weight()",
+       [](WriteCase &C) { scale(C.WideConv->weight(), -1.5f); }},
+      {"direct conv weight()",
+       [](WriteCase &C) { scale(C.NarrowConv->weight(), -1.5f); }},
+      {"conv bias()", [](WriteCase &C) { C.NarrowConv->bias().fill(0.75f); }},
+      {"linear weight()",
+       [](WriteCase &C) { scale(C.Head->weight(), -1.5f); }},
+      {"linear bias()", [](WriteCase &C) { C.Head->bias().fill(0.75f); }},
+      {"fused runningVar()",
+       [](WriteCase &C) { scale(C.FusedBn->runningVar(), 3.0f); }},
+      {"unfused runningVar()",
+       [](WriteCase &C) { scale(C.PlainBn->runningVar(), 3.0f); }},
+      {"unfused runningMean()",
+       [](WriteCase &C) { C.PlainBn->runningMean().fill(0.5f); }},
+      {"gamma through parameters()",
+       [](WriteCase &C) {
+         for (const ParamRef &P : C.Model.parameters())
+           if (P.Name.find("gamma") != std::string::npos)
+             scale(*P.Value, -2.0f);
+       }},
+      {"running_mean through buffers()",
+       [](WriteCase &C) {
+         for (auto &[Name, Buf] : C.Model.buffers())
+           if (Name.find("running_mean") != std::string::npos)
+             Buf->fill(-0.5f);
+       }},
+      {"BatchNorm Train forward",
+       [](WriteCase &C) {
+         // The layer alone, not through the Sequential: its own Train
+         // forward updates the running statistics the fold reads.
+         C.PlainBn->forward(randomInput({4, 8, 4, 4}, 94), /*Train=*/true);
+       }},
+  };
+  for (const auto &[What, Apply] : Writes) {
+    SCOPED_TRACE(What);
+    WriteCase C;
+    expectRebuiltAfter(C, [&] { Apply(C); });
+  }
+}
+
+TEST(FusedForward, OptimizerStepsRebuildPacksAndDropTheReference) {
+  // Each step follows a Train forward; a fast forward between the two
+  // packs the weights the step then writes through its ParamRefs.
+  for (const bool UseAdam : {false, true}) {
+    SCOPED_TRACE(UseAdam ? "Adam" : "Sgd");
+    WriteCase C;
+    std::unique_ptr<Optimizer> Opt;
+    if (UseAdam)
+      Opt = std::make_unique<Adam>(C.Model.parameters(), 0.05f);
+    else
+      Opt = std::make_unique<Sgd>(C.Model.parameters(), 0.05f);
+    CrossEntropy Loss;
+    Opt->zeroGrad();
+    Loss.forward(C.Model.forward(writeCaseInput(), /*Train=*/true), {0, 3});
+    C.Model.backward(Loss.backward());
+    expectRebuiltAfter(C, [&] { Opt->step(); });
+  }
 }

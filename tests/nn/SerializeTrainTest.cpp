@@ -8,10 +8,12 @@
 #include "nn/ModelZoo.h"
 #include "nn/Serialize.h"
 #include "support/Rng.h"
+#include "tensor/Gemm.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 using namespace oppsla;
@@ -29,6 +31,36 @@ Tensor probe(Sequential &Net, size_t Side) {
   return Net.forward(In, false);
 }
 
+bool sameBytes(const Tensor &A, const Tensor &B) {
+  return A.shape() == B.shape() &&
+         std::memcmp(A.data(), B.data(), A.numel() * sizeof(float)) == 0;
+}
+
+/// The --naive-kernels probe of \p Net: the reference for a fast forward
+/// that must not have kept anything packed from older weights.
+Tensor naiveProbe(Sequential &Net, size_t Side) {
+  kernels::setNaive(true);
+  Tensor Out = probe(Net, Side);
+  kernels::setNaive(false);
+  return Out;
+}
+
+/// Two classes, bright images against dark ones: trivially separable.
+Dataset brightDark(size_t Side, size_t Count) {
+  Dataset Data;
+  Data.NumClasses = 2;
+  Rng R(5);
+  for (size_t I = 0; I != Count; ++I) {
+    const bool Bright = I % 2 == 0;
+    Image Img(Side, Side);
+    for (float &V : Img.raw())
+      V = static_cast<float>((Bright ? 0.7 : 0.2) + R.uniform(-0.1, 0.1));
+    Data.Images.push_back(Img);
+    Data.Labels.push_back(Bright ? 1 : 0);
+  }
+  return Data;
+}
+
 } // namespace
 
 TEST(Serialize, RoundTripPreservesBehavior) {
@@ -43,6 +75,21 @@ TEST(Serialize, RoundTripPreservesBehavior) {
   for (size_t I = 0; I != OutA.numel(); ++I)
     EXPECT_EQ(OutA[I], OutB[I]);
   std::remove(Path.c_str());
+}
+
+TEST(Serialize, LoadIntoAModelThatAlreadyRanRebuildsItsPacks) {
+  Rng R1(1), R2(2);
+  auto A = buildModel(Arch::MiniVGG, 10, 16, R1);
+  auto B = buildModel(Arch::MiniVGG, 10, 16, R2);
+  const Tensor Before = probe(*A, 16); // packs A's own weights
+  const std::string Path = tempPath("oppsla_load_repack.bin");
+  ASSERT_TRUE(saveModel(*B, Path));
+  ASSERT_TRUE(loadModel(*A, Path));
+  std::remove(Path.c_str());
+  const Tensor After = probe(*A, 16);
+  EXPECT_TRUE(sameBytes(After, naiveProbe(*A, 16)));
+  EXPECT_TRUE(sameBytes(After, probe(*B, 16)));
+  EXPECT_FALSE(sameBytes(Before, After));
 }
 
 TEST(Serialize, RejectsArchitectureMismatch) {
@@ -72,19 +119,7 @@ TEST(Serialize, RejectsTruncatedFile) {
 }
 
 TEST(Training, LearnsSeparableToyTask) {
-  // Two classes: bright images vs dark images, trivially separable.
-  Dataset Data;
-  Data.NumClasses = 2;
-  Rng R(5);
-  for (int I = 0; I != 60; ++I) {
-    const bool Bright = I % 2 == 0;
-    Image Img(8, 8);
-    for (float &V : Img.raw())
-      V = static_cast<float>(
-          (Bright ? 0.7 : 0.2) + R.uniform(-0.1, 0.1));
-    Data.Images.push_back(Img);
-    Data.Labels.push_back(Bright ? 1 : 0);
-  }
+  const Dataset Data = brightDark(8, 60);
   Rng MR(6);
   auto Net = buildModel(Arch::Mlp, 2, 8, MR);
   TrainConfig Config;
@@ -96,6 +131,26 @@ TEST(Training, LearnsSeparableToyTask) {
   EXPECT_GT(Res.TrainAccuracy, 0.95f);
   EXPECT_LT(Res.FinalLoss, 0.4f);
   EXPECT_GT(evalAccuracy(*Net, Data), 0.95f);
+}
+
+TEST(Training, FastForwardsBetweenEpochsMatchNaive) {
+  // evalAccuracy's fast forwards pack the weights and fold the BatchNorm
+  // statistics of the first epoch; the second epoch moves both, so the
+  // fast logits must follow it.
+  const Dataset Data = brightDark(8, 16);
+  Rng MR(8);
+  auto Net = buildModel(Arch::MiniVGG, 2, 8, MR);
+  TrainConfig Config;
+  Config.Epochs = 1;
+  Config.BatchSize = 8;
+  Rng TR(9);
+  trainClassifier(*Net, Data, Config, TR);
+  evalAccuracy(*Net, Data);
+  const Tensor FirstEpoch = probe(*Net, 8);
+  trainClassifier(*Net, Data, Config, TR);
+  const Tensor Fast = probe(*Net, 8);
+  EXPECT_TRUE(sameBytes(Fast, naiveProbe(*Net, 8)));
+  EXPECT_FALSE(sameBytes(FirstEpoch, Fast)) << "the second epoch moved nothing";
 }
 
 TEST(Training, VictimSpecCacheStemIsDescriptive) {
