@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // google-benchmark microbenchmarks for the inference path that dominates
-// every experiment: one black-box query = one batch-1 forward pass. Also
+// every experiment: one black-box query = one batch-1 forward pass, timed
+// both as the one-pixel delta an attack pays and as a full forward. Also
 // measures the GEMM/im2col primitives and training steps.
 //
 //===----------------------------------------------------------------------===//
@@ -55,29 +56,68 @@ void BM_Im2Col(benchmark::State &State) {
 }
 BENCHMARK(BM_Im2Col);
 
-void BM_ForwardQuery(benchmark::State &State) {
+/// The classifier under test for an (architecture, side) argument pair.
+NNClassifier queryClassifier(const benchmark::State &State) {
   const Arch A = static_cast<Arch>(State.range(0));
   const auto Side = static_cast<size_t>(State.range(1));
   Rng R(3);
-  auto Net = buildModel(A, 10, Side, R);
-  NNClassifier C(std::move(Net), 10, archName(A));
-  Rng IR(4);
+  return NNClassifier(buildModel(A, 10, Side, R), 10, archName(A));
+}
+
+Image uniformImage(size_t Side, uint64_t Seed) {
+  Rng R(Seed);
   Image Img(Side, Side);
   for (float &V : Img.raw())
-    V = IR.uniformF();
-  for (auto _ : State) {
-    const std::vector<float> S = C.scores(Img);
-    benchmark::DoNotOptimize(S.data());
-  }
-  State.SetLabel(std::string(archName(A)) + "@" + std::to_string(Side));
+    V = R.uniformF();
+  return Img;
 }
-BENCHMARK(BM_ForwardQuery)
-    ->Args({static_cast<long>(Arch::MiniVGG), 32})
-    ->Args({static_cast<long>(Arch::MiniResNet), 32})
-    ->Args({static_cast<long>(Arch::MiniGoogLeNet), 32})
-    ->Args({static_cast<long>(Arch::MiniDenseNet), 32})
-    ->Args({static_cast<long>(Arch::MiniDenseNet), 40})
-    ->Args({static_cast<long>(Arch::MiniResNet50), 40});
+
+/// The query an attack pays: the clean image with one pixel set to an
+/// RGB-cube corner, a different pixel each iteration. The classifier keeps
+/// the clean image as its reference and forwards each query as a delta.
+void BM_OnePixelQuery(benchmark::State &State) {
+  NNClassifier C = queryClassifier(State);
+  const auto Side = static_cast<size_t>(State.range(1));
+  const Image Clean = uniformImage(Side, 4);
+  (void)C.scores(Clean);
+  Image Query = Clean;
+  size_t Loc = 0;
+  for (auto _ : State) {
+    const size_t Row = Loc / Side, Col = Loc % Side;
+    Query.setPixel(Row, Col, Pixel{1.0f, 0.0f, 1.0f});
+    const std::vector<float> S = C.scores(Query);
+    benchmark::DoNotOptimize(S.data());
+    Query.setPixel(Row, Col, Clean.pixel(Row, Col));
+    Loc = (Loc + 1) % (Side * Side);
+  }
+  State.SetLabel(C.name() + "@" + std::to_string(Side));
+}
+
+/// A full forward per query: two unrelated images alternate, so every
+/// query is far from the reference the previous one left behind.
+void BM_FullForwardQuery(benchmark::State &State) {
+  NNClassifier C = queryClassifier(State);
+  const auto Side = static_cast<size_t>(State.range(1));
+  const Image Imgs[2] = {uniformImage(Side, 4), uniformImage(Side, 5)};
+  size_t Next = 0;
+  for (auto _ : State) {
+    const std::vector<float> S = C.scores(Imgs[Next]);
+    benchmark::DoNotOptimize(S.data());
+    Next ^= 1;
+  }
+  State.SetLabel(C.name() + "@" + std::to_string(Side));
+}
+
+void queryShapes(benchmark::internal::Benchmark *B) {
+  B->Args({static_cast<long>(Arch::MiniVGG), 32})
+      ->Args({static_cast<long>(Arch::MiniResNet), 32})
+      ->Args({static_cast<long>(Arch::MiniGoogLeNet), 32})
+      ->Args({static_cast<long>(Arch::MiniDenseNet), 32})
+      ->Args({static_cast<long>(Arch::MiniDenseNet), 40})
+      ->Args({static_cast<long>(Arch::MiniResNet50), 40});
+}
+BENCHMARK(BM_OnePixelQuery)->Apply(queryShapes);
+BENCHMARK(BM_FullForwardQuery)->Apply(queryShapes);
 
 void BM_TrainStep(benchmark::State &State) {
   Rng R(5);

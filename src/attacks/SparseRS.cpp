@@ -93,8 +93,11 @@ AttackResult SparseRS::runAttack(Classifier &N, const Image &X,
     }
   };
 
-  const size_t Horizon = Config.PrefetchHorizon;
-  const bool Speculate = Horizon > 1 && Q.prefetchable();
+  // Iterations speculated per prefetch submission. The proposal RNG stream
+  // is exact (draw counts never depend on acceptance), so only accepted
+  // candidates mid-window cost mispredicted forwards.
+  constexpr size_t Horizon = 16;
+  const bool Speculate = Q.prefetchable();
 
   telemetry::ProfileScope SearchSpan("sparse_rs.search");
   for (uint64_t Iter = 0; !Q.exhausted(); ++Iter) {

@@ -30,11 +30,6 @@ struct SparseRSConfig {
   uint64_t ScheduleHorizon = 10000;
   /// Probability floor for proposing a brand new location.
   double MinLocationProb = 0.1;
-  /// Iterations speculated per prefetch submission when the classifier is
-  /// prefetchable. The proposal RNG stream is exact (draw counts never
-  /// depend on acceptance), so only accepted candidates mid-window cost
-  /// mispredicted forwards. 1 disables prefetching.
-  size_t PrefetchHorizon = 16;
 };
 
 /// One pixel Sparse-RS.

@@ -93,8 +93,12 @@ AttackResult SuOPA::runAttack(Classifier &N, const Image &X,
     return Cand;
   };
 
-  const size_t Window = Config.PrefetchWindow;
-  const bool Speculate = Window > 1 && Q.prefetchable();
+  // Candidates per speculative prefetch submission. Initialization windows
+  // are exact; generation windows speculate under a no-acceptance
+  // assumption, so an accepted mutant mid-window costs only the window's
+  // remaining mispredicted forwards.
+  constexpr size_t Window = 64;
+  const bool Speculate = Q.prefetchable();
 
   // Initial population: positions uniform, colors gaussian around mid-gray
   // (Su et al.'s initialization). Positions are drawn over the same closed

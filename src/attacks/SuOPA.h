@@ -28,12 +28,6 @@ struct SuOPAConfig {
   size_t PopulationSize = 400; ///< Su et al.'s default
   double F = 0.5;              ///< DE differential weight
   size_t MaxGenerations = 100; ///< stop even if budget remains
-  /// Candidates per speculative prefetch submission when the classifier is
-  /// prefetchable (a QueryEngine with its cache on). Initialization windows
-  /// are exact; generation windows speculate under a no-acceptance
-  /// assumption, so an accepted mutant mid-window costs only the window's
-  /// remaining mispredicted forwards. 1 disables prefetching.
-  size_t PrefetchWindow = 64;
 };
 
 /// Su et al. (2017) one pixel attack.

@@ -10,41 +10,16 @@
 
 using namespace oppsla;
 
-QueryCounter::Claim QueryCounter::claim(uint64_t N) {
-  if (N == 0)
-    return {count(), 0};
+uint64_t QueryCounter::claim() {
   uint64_t Cur = Count.load(std::memory_order_relaxed);
-  for (;;) {
+  do {
     if (Cur >= Budget) {
       Exhausted.store(true, std::memory_order_relaxed);
-      return {Cur, 0};
+      return 0;
     }
-    const uint64_t Grant = std::min(N, Budget - Cur);
-    if (Count.compare_exchange_weak(Cur, Cur + Grant,
-                                    std::memory_order_relaxed)) {
-      if (Grant < N)
-        Exhausted.store(true, std::memory_order_relaxed);
-      return {Cur, Grant};
-    }
-  }
-}
-
-std::vector<std::vector<float>> QueryCounter::scoresBatch(
-    std::span<const Image> Imgs) {
-  std::vector<std::vector<float>> Out(Imgs.size());
-  if (Imgs.empty())
-    return Out;
-  const Claim C = claim(Imgs.size());
-  if (C.Granted == 0)
-    return Out;
-  std::vector<std::vector<float>> S =
-      Inner.scoresBatch(Imgs.first(C.Granted));
-  for (size_t I = 0; I != C.Granted; ++I) {
-    if (telemetry::traceEnabled())
-      emitQueryEvent(S[I], C.Base + I + 1);
-    Out[I] = std::move(S[I]);
-  }
-  return Out;
+  } while (!Count.compare_exchange_weak(Cur, Cur + 1,
+                                        std::memory_order_relaxed));
+  return Cur + 1;
 }
 
 void QueryCounter::prefetch(std::span<const Image> Imgs) {

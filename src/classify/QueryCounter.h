@@ -12,13 +12,8 @@
 /// subsequent calls return an empty vector, which attack loops treat as
 /// "stop, attack failed".
 ///
-/// The counter is shareable across the query engine's batch submissions:
-/// the count is a relaxed atomic claimed via CAS, and a batch is granted a
-/// *prefix* of its images under the budget (images past the grant get an
-/// empty score vector, exactly as serial over-budget calls would). Logical
-/// charging is per-image in deterministic index order, so a batch of N
-/// costs precisely what N serial queries cost — batching never changes
-/// avgQueries.
+/// The count is a relaxed atomic claimed via CAS, so concurrent scores()
+/// callers never overshoot the budget.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,21 +46,14 @@ public:
       : Inner(Inner), Budget(Budget) {}
 
   std::vector<float> scores(const Image &Img) override {
-    const Claim C = claim(1);
-    if (C.Granted == 0)
+    const uint64_t Idx = claim();
+    if (Idx == 0)
       return {};
     std::vector<float> S = Inner.scores(Img);
     if (telemetry::traceEnabled())
-      emitQueryEvent(S, C.Base + 1);
+      emitQueryEvent(S, Idx);
     return S;
   }
-
-  /// Charges one logical query per image, in index order. Under a budget
-  /// the submission is granted a prefix: the first remaining() images are
-  /// queried, the rest come back as empty vectors (and the counter is
-  /// exhausted), mirroring what the same images would see serially.
-  std::vector<std::vector<float>> scoresBatch(
-      std::span<const Image> Imgs) override;
 
   /// Forwards up to remaining() images to the inner classifier's
   /// speculative prefetch. Prefetching is never charged: it is the engine
@@ -104,16 +92,9 @@ public:
   }
 
 private:
-  /// Result of atomically claiming budget: queries [Base+1, Base+Granted]
-  /// belong to the caller.
-  struct Claim {
-    uint64_t Base;
-    uint64_t Granted;
-  };
-
-  /// CAS-claims up to \p N queries. Grants the largest prefix the budget
-  /// allows; a partial (or zero) grant marks the counter exhausted.
-  Claim claim(uint64_t N);
+  /// CAS-claims one query and returns its 1-based index, or 0 (marking the
+  /// counter exhausted) when the budget is spent.
+  uint64_t claim();
 
   /// Cold path: emits the per-query trace event (tracing enabled only).
   /// \p Idx is the 1-based query index the scores belong to.

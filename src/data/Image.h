@@ -85,7 +85,7 @@ public:
   void writeToTensor(Tensor &Out) const;
 
   /// Writes this image into slot \p Index of an existing {N,3,H,W} batch
-  /// tensor (the assembly step of Classifier::scoresBatch).
+  /// tensor (the assembly step of a batched forward).
   void writeToTensorBatch(Tensor &Out, size_t Index) const;
 
   /// Builds an image from a {1, 3, H, W} or {3, H, W} tensor.

@@ -55,9 +55,7 @@ bool sameBytes(const Image &A, const Image &B) {
 
 QueryEngine::QueryEngine(Classifier &Inner, QueryEngineConfig Config)
     : Inner(Inner), Config(Config),
-      Cache(std::make_shared<ScoreCache>(Config.CacheCapacity)) {
-  assert(this->Config.BatchSize >= 1 && "batch size must be positive");
-}
+      Cache(std::make_shared<ScoreCache>(Config.CacheCapacity)) {}
 
 QueryEngine::~QueryEngine() = default;
 
@@ -66,87 +64,22 @@ std::vector<float> QueryEngine::scores(const Image &Img) {
   ++Logical;
   logicalCounter().inc();
   std::vector<float> S;
-  if (Cache->enabled()) {
-    const uint64_t Hash = ScoreCache::key(Img);
+  const bool Memo = Cache->enabled();
+  const uint64_t Hash = Memo ? ScoreCache::key(Img) : 0;
+  if (Memo) {
     if (Cache->lookup(Img, Hash, S)) {
       hitCounter().inc();
       return S;
     }
     missCounter().inc();
-    S = Inner.scores(Img);
-    ++Physical;
-    forwardCounter().inc();
-    batchSizeHist().observe(1.0);
-    Cache->insert(Img, Hash, S);
-    return S;
   }
   S = Inner.scores(Img);
   ++Physical;
   forwardCounter().inc();
   batchSizeHist().observe(1.0);
+  if (Memo)
+    Cache->insert(Img, Hash, S);
   return S;
-}
-
-std::vector<std::vector<float>> QueryEngine::scoresBatch(
-    std::span<const Image> Imgs) {
-  telemetry::ProfileScope Span("engine.batch");
-  const size_t N = Imgs.size();
-  Logical += N;
-  logicalCounter().inc(N);
-  std::vector<std::vector<float>> Out(N);
-  if (N == 0)
-    return Out;
-
-  // Partition into cache hits, unique misses, and duplicate misses (the
-  // same bytes appearing twice in one submission pay one forward).
-  std::vector<size_t> Unique;
-  std::vector<std::pair<size_t, size_t>> Aliases; ///< (dup index, rep index)
-  std::unordered_map<uint64_t, std::vector<size_t>> Reps;
-  std::vector<uint64_t> Hashes(N); ///< reused by the inserts below
-  uint64_t Hits = 0;
-  {
-    telemetry::ProfileScope ProbeSpan("engine.cache.probe");
-    for (size_t I = 0; I != N; ++I) {
-      const uint64_t Hash = Hashes[I] =
-          Cache->enabled() ? ScoreCache::key(Imgs[I]) : 0;
-      if (Cache->enabled() && Cache->lookup(Imgs[I], Hash, Out[I])) {
-        ++Hits;
-        continue;
-      }
-      bool Aliased = false;
-      if (Cache->enabled()) {
-        for (size_t Rep : Reps[Hash]) {
-          if (sameBytes(Imgs[Rep], Imgs[I])) {
-            Aliases.emplace_back(I, Rep);
-            Aliased = true;
-            break;
-          }
-        }
-        if (!Aliased)
-          Reps[Hash].push_back(I);
-      }
-      if (!Aliased)
-        Unique.push_back(I);
-    }
-  }
-  hitCounter().inc(Hits);
-  missCounter().inc(N - Hits);
-
-  forwardUnique(Imgs, Unique, Out);
-  if (Cache->enabled())
-    for (size_t I : Unique)
-      Cache->insert(Imgs[I], Hashes[I], Out[I]);
-  for (const auto &[Dup, Rep] : Aliases)
-    Out[Dup] = Out[Rep];
-
-  if (telemetry::traceEnabled())
-    telemetry::traceEvent("engine_batch",
-                          {{"kind", "query"},
-                           {"images", static_cast<uint64_t>(N)},
-                           {"hits", Hits},
-                           {"forwards",
-                            static_cast<uint64_t>(Unique.size())}});
-  return Out;
 }
 
 void QueryEngine::prefetch(std::span<const Image> Imgs) {
@@ -197,14 +130,12 @@ void QueryEngine::prefetch(std::span<const Image> Imgs) {
 void QueryEngine::forwardUnique(std::span<const Image> Imgs,
                                 const std::vector<size_t> &Unique,
                                 std::vector<std::vector<float>> &Out) {
-  if (Unique.empty())
-    return;
   telemetry::ProfileScope Span("engine.forward");
   Physical += Unique.size();
   forwardCounter().inc(Unique.size());
 
   // Chunk boundaries: [K*BatchSize, (K+1)*BatchSize) over Unique.
-  const size_t B = Config.BatchSize;
+  const size_t B = BatchSize;
   const size_t NumChunks = (Unique.size() + B - 1) / B;
   for (size_t K = 0; K != NumChunks; ++K)
     batchSizeHist().observe(static_cast<double>(

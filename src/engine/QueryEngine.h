@@ -12,21 +12,23 @@
 ///
 ///   - *logical queries* are what the attack asks for and what the
 ///     paper's avgQueries metric reports — a cache hit still counts;
-///   - *physical forwards* are what the hardware pays — batched through
-///     Classifier::scoresBatch in chunks of Config.BatchSize and
-///     optionally spread over a worker pool of classifier clones.
+///   - *physical forwards* are what the hardware pays — one per cache
+///     miss in scores(), plus prefetch submissions run as batched forwards
+///     in chunks of BatchSize, optionally spread over a worker pool of
+///     classifier clones.
 ///
 /// Correctness invariant: the engine never changes a single result byte.
 /// Forwards are deterministic and per-sample independent (batched output
 /// is bit-identical to serial output), and the ScoreCache verifies full
-/// image bytes on every hit, so any combination of --batch-size,
-/// --cache-capacity, and engine threads yields byte-identical attack
-/// outcomes — enforced end to end by the cli_eval_engine_identical ctest.
+/// image bytes on every hit, so any combination of --cache-capacity,
+/// --no-cache and engine threads yields byte-identical attack outcomes —
+/// enforced end to end by the cli_eval_engine_identical ctest.
 ///
-/// prefetch() is the speculation entry point: attacks submit the candidate
-/// images they are *about* to query serially; the engine runs them as
-/// batched forwards into the cache, and the subsequent scores() calls hit.
-/// Mispredicted candidates cost a wasted forward, never a wrong answer.
+/// prefetch() is the speculation entry point and the engine's only batched
+/// path: attacks submit the candidate images they are *about* to query
+/// serially; the engine runs them as batched forwards into the cache, and
+/// the subsequent scores() calls hit. Mispredicted candidates cost a wasted
+/// forward, never a wrong answer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,17 +45,16 @@
 
 namespace oppsla {
 
-/// Engine tunables, mirrored by the CLI's --batch-size / --cache-capacity /
-/// --no-cache / --engine-threads flags.
+/// Engine tunables, mirrored by the CLI's --cache-capacity / --no-cache /
+/// --engine-threads flags.
 struct QueryEngineConfig {
-  /// Maximum images per physical forward (the {N,3,H,W} batch dimension).
-  size_t BatchSize = 8;
   /// ScoreCache entries; 0 disables memoization (and with it prefetch).
   size_t CacheCapacity = 4096;
-  /// Worker threads for physical batches. 1 = evaluate on the calling
-  /// thread; >1 spreads the BatchSize-chunks of one submission over a pool
-  /// of classifier clones (requires a cloneable inner classifier). Results
-  /// are assembled in index order, so the thread count never changes them.
+  /// Worker threads for prefetch forwards. 1 = evaluate on the calling
+  /// thread; >1 spreads the BatchSize-chunks of one prefetch submission
+  /// over a pool of classifier clones (requires a cloneable inner
+  /// classifier). Results land at their submission index, so the thread
+  /// count never changes them.
   size_t Threads = 1;
   /// When true, clone() hands out engines that share this engine's
   /// ScoreCache instead of building a fresh one. The cache is thread-safe
@@ -64,17 +65,19 @@ struct QueryEngineConfig {
   bool ShareCacheOnClone = false;
 };
 
-/// Batching, memoizing classifier decorator.
+/// Memoizing classifier decorator with a batched prefetch.
 class QueryEngine : public Classifier {
 public:
+  /// Maximum images per physical forward of a prefetch submission (the
+  /// {N,3,H,W} batch dimension).
+  static constexpr size_t BatchSize = 8;
+
   /// Wraps \p Inner (not owned; must outlive the engine).
   explicit QueryEngine(Classifier &Inner,
                        QueryEngineConfig Config = QueryEngineConfig());
   ~QueryEngine() override;
 
   std::vector<float> scores(const Image &Img) override;
-  std::vector<std::vector<float>> scoresBatch(
-      std::span<const Image> Imgs) override;
   void prefetch(std::span<const Image> Imgs) override;
   bool prefetchable() const override { return Cache->enabled(); }
   size_t numClasses() const override { return Inner.numClasses(); }
@@ -87,8 +90,6 @@ public:
 
   const QueryEngineConfig &config() const { return Config; }
   ScoreCache &cache() { return *Cache; }
-  /// The cache as a shareable handle (see ShareCacheOnClone).
-  const std::shared_ptr<ScoreCache> &cacheHandle() const { return Cache; }
 
   /// Per-engine counters (process-wide aggregates live in the telemetry
   /// registry under engine.*).
@@ -96,8 +97,8 @@ public:
   uint64_t physicalForwards() const { return Physical; }
 
 private:
-  /// Runs the batched forward for \p Unique (indices into \p Imgs),
-  /// chunked by Config.BatchSize and optionally parallelized, writing
+  /// Runs the batched forward for the non-empty \p Unique (indices into
+  /// \p Imgs), chunked by BatchSize and optionally parallelized, writing
   /// score vectors into \p Out at the same positions.
   void forwardUnique(std::span<const Image> Imgs,
                      const std::vector<size_t> &Unique,
@@ -109,7 +110,7 @@ private:
   std::shared_ptr<ScoreCache> Cache; ///< never null; shared across clones
                                      ///< when Config.ShareCacheOnClone
 
-  /// Chunk workers, built by the first multi-chunk forward when
+  /// Chunk workers, built by the first multi-chunk prefetch when
   /// Config.Threads > 1: worker 0 runs on Inner, worker T on Clones[T-1].
   std::vector<std::unique_ptr<Classifier>> Clones;
   std::unique_ptr<ThreadPool> Pool;

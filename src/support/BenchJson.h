@@ -11,13 +11,11 @@
 ///   {"schema": 2, "name": "<bench>", "scale": "<smoke|small|paper>",
 ///    "repeat": <i>, "metrics": {"<key>": <number>, ...}}
 ///
-/// One flat numeric map keeps the driver-side diffing trivial; benches
-/// with richer tables (batch_throughput's per-spec results) keep their own
-/// detailed artifact and emit the standard one alongside it. The artifact
-/// is ledger-ready: `oppsla_bench ingest` turns it into one JSONL ledger
-/// row, and `oppsla_bench gate` medians repeated runs of the same bench
-/// (distinguished by the `--repeat i` flag) before comparing against a
-/// baseline.
+/// One flat numeric map keeps the driver-side diffing trivial. The
+/// artifact is ledger-ready: `oppsla_bench ingest` turns it into one JSONL
+/// ledger row, and `oppsla_bench gate` medians repeated runs of the same
+/// bench (distinguished by the `--repeat i` flag) before comparing against
+/// a baseline.
 ///
 //===----------------------------------------------------------------------===//
 

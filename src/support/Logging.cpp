@@ -63,21 +63,24 @@ const char *levelTag(LogLevel Level) {
 }
 
 //===----------------------------------------------------------------------===//
-// The log ring: per-slot seqlock over a fixed array
+// The log ring: a fixed array of mutex-guarded slots
 //===----------------------------------------------------------------------===//
 //
-// Writers claim a global ticket with one fetch_add, then publish through the
-// slot's sequence word: 2*ticket+1 while the payload is being written,
-// 2*ticket+2 once published. Readers copy the payload and re-check the
-// sequence word — if a writer lapped them the word changed and the copy is
-// discarded. No locks, no allocation on the write path, and a stalled
-// reader can never block logging.
+// Writers claim a global ticket with one fetch_add, then write the payload
+// of slot ticket % RingSlots under that slot's mutex, stamping Seq =
+// ticket + 1. Readers copy a slot under the same mutex and keep it only if
+// its Seq is the ticket they want. A writer lapped by a newer ticket for
+// the same slot (it stalled between its fetch_add and the lock) finds a
+// larger Seq and drops its record, so it never overwrites a newer one.
+// Writers only contend when a reader or a lapping writer holds the same
+// slot; there is no allocation on the write path.
 
 constexpr size_t RingSlots = 1024; // power of two
 constexpr size_t RingMsgBytes = 240;
 
 struct RingSlot {
-  std::atomic<uint64_t> Seq{0}; // 0 = never written
+  std::mutex Mu;    // guards every field below
+  uint64_t Seq = 0; // ticket + 1 of the record held; 0 = never written
   uint64_t TsUs = 0;
   uint8_t Level = 0;
   uint8_t TraceLen = 0;
@@ -106,7 +109,10 @@ void ringRecord(LogLevel Level, const std::string &Message) {
   const uint64_t Ticket =
       RingCursor.fetch_add(1, std::memory_order_relaxed);
   RingSlot &S = Ring[Ticket & (RingSlots - 1)];
-  S.Seq.store(2 * Ticket + 1, std::memory_order_release);
+  std::lock_guard<std::mutex> Lock(S.Mu);
+  if (S.Seq > Ticket + 1)
+    return; // lapped: the slot already holds a newer record
+  S.Seq = Ticket + 1;
   S.TsUs = TsUs;
   S.Level = static_cast<uint8_t>(Level);
   S.TraceLen =
@@ -114,7 +120,6 @@ void ringRecord(LogLevel Level, const std::string &Message) {
   std::memcpy(S.Trace, Trace.data(), S.TraceLen);
   S.MsgLen = static_cast<uint16_t>(std::min(Message.size(), RingMsgBytes));
   std::memcpy(S.Msg, Message.data(), S.MsgLen);
-  S.Seq.store(2 * Ticket + 2, std::memory_order_release);
 }
 
 } // namespace
@@ -147,18 +152,17 @@ std::vector<LogRecord> oppsla::logRingSnapshot(size_t MaxEntries,
   // reversed before returning.
   for (uint64_t T = Cursor; T-- > Floor;) {
     RingSlot &S = Ring[T & (RingSlots - 1)];
-    const uint64_t Seq1 = S.Seq.load(std::memory_order_acquire);
-    if (Seq1 != 2 * T + 2)
-      continue; // never written, mid-write, or already lapped
     LogRecord R;
-    R.Seq = T;
-    R.TsUs = S.TsUs;
-    R.Level = static_cast<LogLevel>(S.Level);
-    R.Trace.assign(S.Trace, S.TraceLen);
-    R.Message.assign(S.Msg, S.MsgLen);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (S.Seq.load(std::memory_order_relaxed) != Seq1)
-      continue; // a writer lapped us mid-copy; the copy may be torn
+    {
+      std::lock_guard<std::mutex> Lock(S.Mu);
+      if (S.Seq != T + 1)
+        continue; // never written, not yet written, or already lapped
+      R.Seq = T;
+      R.TsUs = S.TsUs;
+      R.Level = static_cast<LogLevel>(S.Level);
+      R.Trace.assign(S.Trace, S.TraceLen);
+      R.Message.assign(S.Msg, S.MsgLen);
+    }
     if (static_cast<int>(R.Level) > static_cast<int>(MaxLevel))
       continue;
     Out.push_back(std::move(R));

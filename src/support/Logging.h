@@ -11,10 +11,10 @@
 /// the OPPSLA_LOG environment variable (error|warn|info|debug).
 ///
 /// Every line — at every level, regardless of the stderr threshold — is also
-/// recorded into a fixed-size lock-free ring (LogRecord) together with its
-/// level and the calling thread's ambient trace id, so a running server can
-/// expose its recent history live at `GET /logz?n=..&level=..` without any
-/// writer-side locking or allocation.
+/// recorded into a fixed-size ring (LogRecord) together with its level and
+/// the calling thread's ambient trace id, so a running server can expose
+/// its recent history live at `GET /logz?n=..&level=..`. Each slot has its
+/// own mutex, and the write path does not allocate.
 ///
 //===----------------------------------------------------------------------===//
 

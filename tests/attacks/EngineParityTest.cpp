@@ -59,9 +59,8 @@ void expectSameResult(const AttackResult &Plain, const AttackResult &Engine,
   }
 }
 
-/// Runs \p A against the raw classifier and against an engine wrap (batch
-/// 4, cache on) and requires identical results for several images and
-/// budgets.
+/// Runs \p A against the raw classifier and against an engine wrap (cache
+/// on) and requires identical results for several images and budgets.
 void checkParity(Attack &A) {
   const uint64_t Budgets[] = {16, 120, 2000};
   for (const uint64_t Budget : Budgets)
@@ -73,7 +72,6 @@ void checkParity(Attack &A) {
 
       FakeClassifier Inner = vulnerableClassifier();
       QueryEngineConfig Config;
-      Config.BatchSize = 4;
       Config.CacheCapacity = 512;
       QueryEngine Engine(Inner, Config);
       const AttackResult REngine = A.attack(Engine, X, 0, Budget);
@@ -94,7 +92,6 @@ TEST(EngineParity, SuOPA) {
   SuOPAConfig Config;
   Config.PopulationSize = 20;
   Config.MaxGenerations = 6;
-  Config.PrefetchWindow = 8;
   SuOPA A(Config);
   checkParity(A);
 }

@@ -1,13 +1,12 @@
-//===- tests/classify/QueryCounterBatchTest.cpp - shared/batch accounting ----===//
+//===- tests/classify/QueryCounterBatchTest.cpp - shared/prefetch accounting -===//
 //
 // Part of the OPPSLA reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// The counter must be safe to share across the engine's batch submissions
-// and must charge logical queries per image in deterministic index order:
-// a batch of N costs exactly what N serial queries cost, and a budget cuts
-// a batch to its granted prefix.
+// The counter must be safe to share across threads, flag exhaustion on
+// the first denied query, and pass prefetches through uncharged and
+// clipped to the remaining budget.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,62 +49,18 @@ public:
 
 } // namespace
 
-TEST(QueryCounterBatch, BatchChargesPerImage) {
-  FakeClassifier Inner = constantClassifier();
-  QueryCounter Q(Inner);
-  const std::vector<Image> Imgs = distinctImages(5);
-  const auto Out = Q.scoresBatch(std::span<const Image>(Imgs));
-  ASSERT_EQ(Out.size(), 5u);
-  for (const auto &S : Out)
-    EXPECT_EQ(S.size(), 3u);
-  EXPECT_EQ(Q.count(), 5u);
-  EXPECT_FALSE(Q.exhausted());
-}
-
-TEST(QueryCounterBatch, BudgetGrantsPrefixInIndexOrder) {
-  FakeClassifier Inner = constantClassifier();
-  QueryCounter Q(Inner, /*Budget=*/3);
-  const std::vector<Image> Imgs = distinctImages(5);
-  const auto Out = Q.scoresBatch(std::span<const Image>(Imgs));
-  ASSERT_EQ(Out.size(), 5u);
-  // Exactly the first three images were queried; the rest are the same
-  // empty vectors serial over-budget calls return.
-  for (size_t I = 0; I != 3; ++I)
-    EXPECT_FALSE(Out[I].empty()) << "index " << I;
-  for (size_t I = 3; I != 5; ++I)
-    EXPECT_TRUE(Out[I].empty()) << "index " << I;
-  EXPECT_EQ(Q.count(), 3u);
-  EXPECT_TRUE(Q.exhausted());
-  EXPECT_EQ(Inner.calls(), 3u);
-}
-
 TEST(QueryCounterBatch, ExactBudgetConsumptionIsNotExhaustedYet) {
   FakeClassifier Inner = constantClassifier();
   QueryCounter Q(Inner, /*Budget=*/4);
   const std::vector<Image> Imgs = distinctImages(4);
-  (void)Q.scoresBatch(std::span<const Image>(Imgs));
-  // Matches serial semantics: exhaustion is flagged by the first *denied*
-  // query, not by consuming the last unit.
+  for (const Image &Img : Imgs)
+    EXPECT_FALSE(Q.scores(Img).empty());
+  // Exhaustion is flagged by the first *denied* query, not by consuming
+  // the last unit.
   EXPECT_EQ(Q.count(), 4u);
   EXPECT_FALSE(Q.exhausted());
   EXPECT_TRUE(Q.scores(Imgs[0]).empty());
   EXPECT_TRUE(Q.exhausted());
-}
-
-TEST(QueryCounterBatch, BatchOfNCostsSameAsNSerial) {
-  const std::vector<Image> Imgs = distinctImages(7);
-
-  FakeClassifier SerialInner = constantClassifier();
-  QueryCounter Serial(SerialInner, 100);
-  for (const Image &Img : Imgs)
-    (void)Serial.scores(Img);
-
-  FakeClassifier BatchInner = constantClassifier();
-  QueryCounter Batch(BatchInner, 100);
-  (void)Batch.scoresBatch(std::span<const Image>(Imgs));
-
-  EXPECT_EQ(Serial.count(), Batch.count());
-  EXPECT_EQ(Serial.remaining(), Batch.remaining());
 }
 
 namespace {
@@ -126,23 +81,16 @@ TEST(QueryCounterBatch, ConcurrentClaimsNeverOvershootBudget) {
   StatelessClassifier Inner;
   constexpr uint64_t Budget = 256;
   QueryCounter Q(Inner, Budget);
-  const std::vector<Image> Imgs = distinctImages(4);
+  const Image Img = randomImage(4, 4, 0xc0);
 
-  // 8 threads submitting batches of 4 until denied: the counter must hand
-  // out exactly Budget grants in total, no lost or duplicated units.
+  // 8 threads querying until denied: the counter must hand out exactly
+  // Budget grants in total, no lost or duplicated units.
   std::vector<std::thread> Threads;
   std::vector<uint64_t> Granted(8, 0);
   for (size_t T = 0; T != 8; ++T)
     Threads.emplace_back([&, T] {
-      for (;;) {
-        const auto Out = Q.scoresBatch(std::span<const Image>(Imgs));
-        uint64_t NonEmpty = 0;
-        for (const auto &S : Out)
-          NonEmpty += !S.empty();
-        Granted[T] += NonEmpty;
-        if (NonEmpty < Imgs.size())
-          return;
-      }
+      while (!Q.scores(Img).empty())
+        ++Granted[T];
     });
   for (std::thread &T : Threads)
     T.join();
@@ -178,15 +126,4 @@ TEST(QueryCounterBatch, PrefetchForwardsOnlyRemainingBudget) {
   (void)Q.scores(Imgs[3]);
   Q.prefetch(Imgs); // budget gone: nothing forwarded
   EXPECT_EQ(Inner.PrefetchSizes.size(), 2u);
-}
-
-TEST(QueryCounterBatch, UnlimitedBudgetBatch) {
-  FakeClassifier Inner = constantClassifier();
-  QueryCounter Q(Inner);
-  const std::vector<Image> Imgs = distinctImages(9);
-  const auto Out = Q.scoresBatch(std::span<const Image>(Imgs));
-  for (const auto &S : Out)
-    EXPECT_FALSE(S.empty());
-  EXPECT_EQ(Q.count(), 9u);
-  EXPECT_EQ(Q.remaining(), QueryCounter::Unlimited);
 }

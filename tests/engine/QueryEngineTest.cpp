@@ -38,9 +38,8 @@ RecordingClassifier makeInner() {
   });
 }
 
-QueryEngineConfig config(size_t Batch, size_t CacheCap, size_t Threads = 1) {
+QueryEngineConfig config(size_t CacheCap, size_t Threads = 1) {
   QueryEngineConfig C;
-  C.BatchSize = Batch;
   C.CacheCapacity = CacheCap;
   C.Threads = Threads;
   return C;
@@ -58,7 +57,7 @@ std::vector<Image> distinctImages(size_t N) {
 
 TEST(QueryEngine, LogicalVsPhysicalSplit) {
   RecordingClassifier Inner = makeInner();
-  QueryEngine Engine(Inner, config(8, 64));
+  QueryEngine Engine(Inner, config(64));
   const Image A = randomImage(4, 4, 1);
 
   const std::vector<float> S1 = Engine.scores(A);
@@ -88,7 +87,7 @@ TEST(QueryEngine, CacheKeySeparatesShapeAndSignedZero) {
   const std::vector<Image> Imgs{Wide, Tall, PosZero, NegZero};
 
   RecordingClassifier Inner = makeInner();
-  QueryEngine Engine(Inner, config(8, 64));
+  QueryEngine Engine(Inner, config(64));
   for (const Image &Img : Imgs)
     Engine.scores(Img);
   EXPECT_EQ(Inner.calls(), 4u);
@@ -97,53 +96,59 @@ TEST(QueryEngine, CacheKeySeparatesShapeAndSignedZero) {
   EXPECT_EQ(Inner.calls(), 4u);
   EXPECT_EQ(Engine.cache().collisions(), 0u);
 
-  // One submission: no image is taken for a duplicate of another.
+  // One prefetch submission: no image is taken for a duplicate of another.
   RecordingClassifier BatchInner = makeInner();
-  QueryEngine BatchEngine(BatchInner, config(8, 64));
-  BatchEngine.scoresBatch(std::span<const Image>(Imgs));
+  QueryEngine BatchEngine(BatchInner, config(64));
+  BatchEngine.prefetch(Imgs);
   EXPECT_EQ(BatchInner.calls(), 4u);
-  BatchEngine.scoresBatch(std::span<const Image>(Imgs));
+  for (const Image &Img : Imgs)
+    EXPECT_EQ(BatchEngine.scores(Img), Inner.scores(Img));
   EXPECT_EQ(BatchInner.calls(), 4u);
 }
 
 TEST(QueryEngine, BatchChunksByConfiguredSize) {
   RecordingClassifier Inner = makeInner();
-  QueryEngine Engine(Inner, config(8, 64));
+  QueryEngine Engine(Inner, config(64));
   const std::vector<Image> Imgs = distinctImages(20);
 
-  const auto Out = Engine.scoresBatch(std::span<const Image>(Imgs));
-  ASSERT_EQ(Out.size(), 20u);
-  for (size_t I = 0; I != Imgs.size(); ++I)
-    EXPECT_EQ(Out[I], Inner.scores(Imgs[I])) << "index " << I;
-
-  // 20 unique misses -> chunks of 8, 8, 4.
-  EXPECT_EQ(Engine.logicalQueries(), 20u);
+  // 20 unique misses -> physical batches of 8, 8, 4.
+  Engine.prefetch(Imgs);
   EXPECT_EQ(Engine.physicalForwards(), 20u);
   ASSERT_EQ(Inner.BatchSizes.size(), 3u);
-  EXPECT_EQ(Inner.BatchSizes[0], 8u);
-  EXPECT_EQ(Inner.BatchSizes[1], 8u);
+  EXPECT_EQ(Inner.BatchSizes[0], QueryEngine::BatchSize);
+  EXPECT_EQ(Inner.BatchSizes[1], QueryEngine::BatchSize);
   EXPECT_EQ(Inner.BatchSizes[2], 4u);
+
+  // Every batched result landed at its own image.
+  for (size_t I = 0; I != Imgs.size(); ++I)
+    EXPECT_EQ(Engine.scores(Imgs[I]), Inner.scores(Imgs[I])) << "index " << I;
+  EXPECT_EQ(Engine.logicalQueries(), 20u);
+  EXPECT_EQ(Engine.physicalForwards(), 20u);
 }
 
 TEST(QueryEngine, BatchDeduplicatesIdenticalImages) {
   RecordingClassifier Inner = makeInner();
-  QueryEngine Engine(Inner, config(8, 64));
+  QueryEngine Engine(Inner, config(64));
   const Image A = randomImage(4, 4, 1);
   const Image B = randomImage(4, 4, 2);
   const std::vector<Image> Imgs{A, B, A, A, B};
 
-  const auto Out = Engine.scoresBatch(std::span<const Image>(Imgs));
-  EXPECT_EQ(Out[0], Out[2]);
-  EXPECT_EQ(Out[0], Out[3]);
-  EXPECT_EQ(Out[1], Out[4]);
-  // Five logical queries, two physical forwards.
+  // The same bytes twice in one submission pay one forward.
+  Engine.prefetch(Imgs);
+  EXPECT_EQ(Engine.physicalForwards(), 2u);
+  ASSERT_EQ(Inner.BatchSizes.size(), 1u);
+  EXPECT_EQ(Inner.BatchSizes[0], 2u);
+
+  // Five logical queries, all answered from the two forwards.
+  for (const Image &Img : Imgs)
+    EXPECT_EQ(Engine.scores(Img), Inner.scores(Img));
   EXPECT_EQ(Engine.logicalQueries(), 5u);
   EXPECT_EQ(Engine.physicalForwards(), 2u);
 }
 
 TEST(QueryEngine, PrefetchWarmsCacheWithoutLogicalCharge) {
   RecordingClassifier Inner = makeInner();
-  QueryEngine Engine(Inner, config(4, 64));
+  QueryEngine Engine(Inner, config(64));
   ASSERT_TRUE(Engine.prefetchable());
   const std::vector<Image> Imgs = distinctImages(6);
 
@@ -169,7 +174,7 @@ TEST(QueryEngine, PrefetchWarmsCacheWithoutLogicalCharge) {
 
 TEST(QueryEngine, NoCacheDisablesPrefetchAndMemoization) {
   RecordingClassifier Inner = makeInner();
-  QueryEngine Engine(Inner, config(4, 0));
+  QueryEngine Engine(Inner, config(0));
   EXPECT_FALSE(Engine.prefetchable());
 
   const std::vector<Image> Imgs = distinctImages(3);
@@ -183,36 +188,28 @@ TEST(QueryEngine, NoCacheDisablesPrefetchAndMemoization) {
   EXPECT_EQ(Engine.physicalForwards(), 2u); // no memoization
 }
 
-TEST(QueryEngine, BatchSizeOneStillBatchesLogically) {
-  RecordingClassifier Inner = makeInner();
-  QueryEngine Engine(Inner, config(1, 64));
-  const std::vector<Image> Imgs = distinctImages(3);
-  const auto Out = Engine.scoresBatch(std::span<const Image>(Imgs));
-  ASSERT_EQ(Out.size(), 3u);
-  EXPECT_EQ(Engine.logicalQueries(), 3u);
-  // Chunk size 1: three single-image physical submissions.
-  ASSERT_EQ(Inner.BatchSizes.size(), 3u);
-  for (size_t S : Inner.BatchSizes)
-    EXPECT_EQ(S, 1u);
-}
-
 TEST(QueryEngine, ThreadedForwardMatchesSerial) {
   RecordingClassifier SerialInner = makeInner();
-  QueryEngine Serial(SerialInner, config(4, 0));
+  QueryEngine Serial(SerialInner, config(64));
   RecordingClassifier ThreadedInner = makeInner();
-  QueryEngine Threaded(ThreadedInner, config(4, 0, 4));
+  QueryEngine Threaded(ThreadedInner, config(64, 4));
 
+  // 23 images are three chunks, spread over the worker pool.
   const std::vector<Image> Imgs = distinctImages(23);
-  const auto A = Serial.scoresBatch(std::span<const Image>(Imgs));
-  const auto B = Threaded.scoresBatch(std::span<const Image>(Imgs));
-  ASSERT_EQ(A.size(), B.size());
-  for (size_t I = 0; I != A.size(); ++I)
-    EXPECT_EQ(A[I], B[I]) << "index " << I;
+  Serial.prefetch(Imgs);
+  Threaded.prefetch(Imgs);
+  EXPECT_EQ(Threaded.physicalForwards(), 23u);
+  for (size_t I = 0; I != Imgs.size(); ++I)
+    EXPECT_EQ(Serial.scores(Imgs[I]), Threaded.scores(Imgs[I]))
+        << "index " << I;
+  EXPECT_EQ(Serial.physicalForwards(), 23u);
+  EXPECT_EQ(Threaded.physicalForwards(), 23u)
+      << "every threaded chunk must have reached the cache";
 }
 
 TEST(QueryEngine, CloneIsIndependent) {
   RecordingClassifier Inner = makeInner();
-  QueryEngine Engine(Inner, config(8, 64));
+  QueryEngine Engine(Inner, config(64));
   const Image A = randomImage(4, 4, 1);
   (void)Engine.scores(A);
 
@@ -223,7 +220,7 @@ TEST(QueryEngine, CloneIsIndependent) {
   // Fresh counters and cache; same config.
   EXPECT_EQ(Clone->logicalQueries(), 0u);
   EXPECT_EQ(Clone->cache().size(), 0u);
-  EXPECT_EQ(Clone->config().BatchSize, 8u);
+  EXPECT_EQ(Clone->config().CacheCapacity, 64u);
   EXPECT_EQ(Clone->scores(A), Engine.scores(A));
   // The clone queried its own inner copy, not the original.
   EXPECT_EQ(Inner.calls(), 1u);
@@ -234,7 +231,7 @@ TEST(QueryEngine, CloneSharesCacheWhenConfigured) {
   // master's ScoreCache, so an image scored by one engine is a hit (not a
   // physical forward) in another. Logical query counters stay per-clone.
   RecordingClassifier Inner = makeInner();
-  QueryEngineConfig C = config(8, 64);
+  QueryEngineConfig C = config(64);
   C.ShareCacheOnClone = true;
   QueryEngine Engine(Inner, C);
   const Image A = randomImage(4, 4, 1);
@@ -258,7 +255,7 @@ TEST(QueryEngine, CloneSharesCacheWhenConfigured) {
       << "the master must hit the entry the clone inserted";
 
   // Without the flag the clone starts with a fresh, empty cache.
-  QueryEngine Fresh(Inner, config(8, 64));
+  QueryEngine Fresh(Inner, config(64));
   (void)Fresh.scores(A);
   auto FreshCloneP = Fresh.clone();
   auto *FreshClone = dynamic_cast<QueryEngine *>(FreshCloneP.get());
@@ -268,8 +265,16 @@ TEST(QueryEngine, CloneSharesCacheWhenConfigured) {
 
 TEST(QueryEngine, CacheCapacityBoundsResidency) {
   RecordingClassifier Inner = makeInner();
-  QueryEngine Engine(Inner, config(8, 4));
+  QueryEngine Engine(Inner, config(4));
   const std::vector<Image> Imgs = distinctImages(10);
-  (void)Engine.scoresBatch(std::span<const Image>(Imgs));
+
+  // A prefetch stops at the capacity: forwarding more would evict the
+  // submission's own entries before the attack reads them.
+  Engine.prefetch(Imgs);
+  EXPECT_EQ(Engine.physicalForwards(), 4u);
+  EXPECT_EQ(Engine.cache().size(), 4u);
+
+  for (const Image &Img : Imgs)
+    (void)Engine.scores(Img);
   EXPECT_LE(Engine.cache().size(), 4u);
 }

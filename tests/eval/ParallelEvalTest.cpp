@@ -348,11 +348,11 @@ TEST(ParallelEval, FailingEngineForwardRethrowsAfterEveryWorkerStopped) {
   const auto Log = std::make_shared<CallLog>();
   FakeClassifier Inner = throwsOnSmallImages(Log);
   QueryEngineConfig Config;
-  Config.BatchSize = 1;
   Config.Threads = 2;
   QueryEngine Engine(Inner, Config);
   try {
-    Engine.scoresBatch(poisonedSet().Images); // chunk 0 throws
+    // Twelve images are two chunks, one per worker; chunk 0 throws.
+    Engine.prefetch(poisonedSet().Images);
     FAIL() << "expected the classifier's exception";
   } catch (const std::runtime_error &E) {
     EXPECT_STREQ(E.what(), "poisoned image");

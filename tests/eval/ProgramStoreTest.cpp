@@ -53,11 +53,16 @@ std::vector<StoredProgram> testPortfolio() {
   return Portfolio;
 }
 
-/// A scratch store rooted under the test's working directory.
+/// A scratch store rooted under gtest's temp directory, one per case: the
+/// cases may run as concurrent processes, which must not remove each
+/// other's entries.
 class ProgramStoreTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    Root = "program_store_test";
+    Root = (std::filesystem::path(::testing::TempDir()) /
+            (std::string("program_store_test.") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()))
+               .string();
     std::filesystem::remove_all(Root);
   }
   void TearDown() override { std::filesystem::remove_all(Root); }

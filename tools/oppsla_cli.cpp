@@ -87,12 +87,11 @@ int usage() {
          "                  --stats-port-file f (write the bound port)\n"
          "                  --stats-linger (serve after the run until\n"
          "                  GET /quitquitquit, 30s cap)\n"
-         "  query engine:   --batch-size N (images per physical forward,\n"
-         "                  default 8)  --cache-capacity N (memoized\n"
-         "                  scores, default 4096)  --no-cache\n"
-         "                  --engine-threads N (parallel forward chunks)\n"
+         "  query engine:   --cache-capacity N (memoized scores,\n"
+         "                  default 4096)  --no-cache\n"
+         "                  --engine-threads N (parallel prefetch chunks)\n"
          "                  results and avgQueries are identical for any\n"
-         "                  engine setting, including --batch-size 1\n"
+         "                  engine setting, including --no-cache\n"
          "  kernels:        --naive-kernels (route conv/GEMM through the\n"
          "                  scalar reference loops; bit-identical to the\n"
          "                  default packed SGEMM, see DESIGN.md §12)\n"
@@ -117,14 +116,12 @@ Arch archOf(const ArgParse &Args) {
   return archFromName(Args.get("arch", "resnet"));
 }
 
-/// Shared `--batch-size` / `--cache-capacity` / `--no-cache` /
-/// `--engine-threads` wiring. The engine is always interposed; the
-/// degenerate config (batch 1, cache off) makes it a pure pass-through, so
-/// these flags tune performance only — never results.
+/// Shared `--cache-capacity` / `--no-cache` / `--engine-threads` wiring.
+/// The engine is always interposed; with the cache off it is a pure
+/// pass-through (no memo, no prefetch), so these flags tune performance
+/// only — never results.
 QueryEngineConfig engineConfigFromArgs(const ArgParse &Args) {
   QueryEngineConfig Config;
-  Config.BatchSize = static_cast<size_t>(std::max(
-      1LL, Args.getInt("batch-size", static_cast<long long>(Config.BatchSize))));
   Config.CacheCapacity =
       Args.getFlag("no-cache")
           ? 0
