@@ -7,10 +7,10 @@
 /// \file
 /// Query accounting is the paper's central metric: every attack is scored
 /// by how many times it submits an image to the classifier. QueryCounter
-/// wraps any Classifier, counts every scores() call, and optionally
-/// enforces a hard budget. Exceeding the budget makes exhausted() true and
-/// subsequent calls return an empty vector, which attack loops treat as
-/// "stop, attack failed".
+/// wraps any Classifier, counts every scores() call and every memo hit
+/// claimed with claimHit(), and optionally enforces a hard budget.
+/// Exceeding the budget makes exhausted() true and subsequent calls return
+/// an empty vector, which attack loops treat as "stop, attack failed".
 ///
 /// The count is a relaxed atomic claimed via CAS, so concurrent scores()
 /// callers never overshoot the budget.
@@ -53,6 +53,19 @@ public:
     if (telemetry::traceEnabled())
       emitQueryEvent(S, Idx);
     return S;
+  }
+
+  /// Claims one query whose \p Scores the caller already holds (a hit in
+  /// core/Sketch.h's SketchMemo): counted, budgeted and traced exactly as
+  /// scores() would, without a forward. Returns false, like scores()'s
+  /// empty vector, when the budget is spent.
+  bool claimHit(const std::vector<float> &Scores) {
+    const uint64_t Idx = claim();
+    if (Idx == 0)
+      return false;
+    if (telemetry::traceEnabled())
+      emitQueryEvent(Scores, Idx);
+    return true;
   }
 
   /// Forwards up to remaining() images to the inner classifier's

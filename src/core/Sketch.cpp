@@ -10,8 +10,42 @@
 #include "support/Profiler.h"
 
 #include <deque>
+#include <stdexcept>
 
 using namespace oppsla;
+
+SketchMemo::SketchMemo(const Image &X)
+    : X(X), Slots(NumCorners * X.numPixels() + 1, Empty) {}
+
+bool SketchMemo::acquire(uint32_t Key, std::vector<float> &Out) {
+  assert(Key < Slots.size() && "memo key out of range");
+  std::unique_lock<std::mutex> Lock(Mu);
+  Published.wait(Lock, [&] { return Slots[Key] != Pending; });
+  if (Slots[Key] == Empty) {
+    Slots[Key] = Pending;
+    return false;
+  }
+  const float *Row = Rows.data() + static_cast<size_t>(Slots[Key]) * RowWidth;
+  Out.assign(Row, Row + RowWidth);
+  return true;
+}
+
+void SketchMemo::publish(uint32_t Key, const std::vector<float> &Scores) {
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    assert(Slots[Key] == Pending && "publishing an unreserved key");
+    if (Scores.empty()) {
+      Slots[Key] = Empty;
+    } else {
+      if (RowWidth == 0)
+        RowWidth = Scores.size();
+      assert(Scores.size() == RowWidth && "score rows differ in width");
+      Slots[Key] = static_cast<uint32_t>(Rows.size() / RowWidth);
+      Rows.insert(Rows.end(), Scores.begin(), Scores.end());
+    }
+  }
+  Published.notify_all();
+}
 
 namespace {
 
@@ -30,14 +64,33 @@ struct RunState {
   PairSpace Space;
   PairQueue L;
   Image Scratch; ///< X with one pixel temporarily replaced per query
+  SketchMemo *Memo; ///< null: every query forwards
   double BaseTrueScore = 0.0;
 
   RunState(Classifier &N, const Image &Img, size_t TrueClass,
-           uint64_t Budget)
+           uint64_t Budget, SketchMemo *Memo)
       : X(Img), TrueClass(TrueClass), Queries(N, Budget), Space(Img),
-        L(Space.initialOrder(), Space.size()), Scratch(Img) {
+        L(Space.initialOrder(), Space.size()), Scratch(Img), Memo(Memo) {
     Queries.setTraceTrueClass(TrueClass);
   }
+
+  /// N(Img) for the query \p Img that memo key \p Key names (its PairId,
+  /// or Space.size() for X); empty once the budget is spent. A memo hit is
+  /// claimed like a forward, so the count, the budget and the trace cannot
+  /// tell the two apart.
+  std::vector<float> query(uint32_t Key, const Image &Img) {
+    if (!Memo)
+      return Queries.scores(Img);
+    std::vector<float> S;
+    if (Memo->lookup(Key, S, [&] { return Queries.scores(Img); }) &&
+        !Queries.claimHit(S))
+      S.clear();
+    return S;
+  }
+
+  /// A run with a memo never speculates: a prefetch would forward pairs
+  /// the memo already holds.
+  bool prefetchable() const { return !Memo && Queries.prefetchable(); }
 
   /// Status of a single candidate query.
   enum class QueryStatus { Failed, Success, Exhausted };
@@ -49,7 +102,7 @@ struct RunState {
     const Pixel Orig = X.pixel(LP.Loc.Row, LP.Loc.Col);
     const Pixel Pert = LP.perturbation();
     Scratch.setPixel(LP.Loc.Row, LP.Loc.Col, Pert);
-    const std::vector<float> Scores = Queries.scores(Scratch);
+    const std::vector<float> Scores = query(Id, Scratch);
     Scratch.setPixel(LP.Loc.Row, LP.Loc.Col, Orig);
     if (Scores.empty())
       return QueryStatus::Exhausted;
@@ -63,13 +116,13 @@ struct RunState {
   }
 
   /// Warms the query engine's cache with the candidate images of \p Ids as
-  /// one batched submission. No-op without a prefetchable classifier (the
-  /// engine advertises one only when its cache is on); never counts
-  /// against the query budget. Every pair is queried at most once per run,
-  /// so even when the consumption order is reordered under the batch, a
-  /// prefetched pair's entry stays useful until eviction.
+  /// one batched submission. No-op with a memo or without a prefetchable
+  /// classifier (the engine advertises one only when its cache is on);
+  /// never counts against the query budget. Every pair is queried at most
+  /// once per run, so even when the consumption order is reordered under
+  /// the batch, a prefetched pair's entry stays useful until eviction.
   void prefetchPairs(const std::vector<PairId> &Ids) {
-    if (Ids.size() < 2 || !Queries.prefetchable())
+    if (Ids.size() < 2 || !prefetchable())
       return;
     telemetry::ProfileScope Span("sketch.prefetch");
     PrefetchBatch.clear();
@@ -124,9 +177,11 @@ constexpr size_t FrontPrefetchWindow = 16;
 } // namespace
 
 SketchResult Sketch::run(Classifier &N, const Image &X, size_t TrueClass,
-                         uint64_t QueryBudget) const {
+                         uint64_t QueryBudget, SketchMemo *Memo) const {
   assert(TrueClass < N.numClasses() && "true class out of range");
-  RunState S(N, X, TrueClass, QueryBudget);
+  if (Memo && !Memo->image().sameBytes(X))
+    throw std::invalid_argument("sketch memo was built for another image");
+  RunState S(N, X, TrueClass, QueryBudget, Memo);
   SketchResult Result;
 
   auto Finish = [&](bool Success, LocPert Adv) {
@@ -140,7 +195,8 @@ SketchResult Sketch::run(Classifier &N, const Image &X, size_t TrueClass,
   // One initial query of the unperturbed image: the conditions need
   // N(x)_{c_x} for score_diff.
   {
-    const std::vector<float> Base = S.Queries.scores(X);
+    const std::vector<float> Base =
+        S.query(static_cast<uint32_t>(S.Space.size()), X);
     if (Base.empty())
       return Finish(false, LocPert{});
     if (argmaxScore(Base) != TrueClass) {
@@ -158,7 +214,7 @@ SketchResult Sketch::run(Classifier &N, const Image &X, size_t TrueClass,
     // Eager checks below may reorder or steal some of them, but a stolen
     // pair is queried (and so hits) anyway — only pairs never reached
     // before the run ends cost a wasted forward.
-    if (PopsUntilPrefetch == 0 && S.Queries.prefetchable()) {
+    if (PopsUntilPrefetch == 0 && S.prefetchable()) {
       Upcoming.clear();
       S.L.peekFront(FrontPrefetchWindow, Upcoming);
       S.prefetchPairs(Upcoming);

@@ -27,6 +27,10 @@
 /// sketch finds it (given enough budget). Programs only change the order,
 /// i.e. the query count.
 ///
+/// Runs of *different* programs on one image ask overlapping subsets of the
+/// same 8 * d1 * d2 + 1 queries; a SketchMemo shared by those runs (the
+/// synthesizer's candidates) forwards each of them once.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OPPSLA_CORE_SKETCH_H
@@ -36,10 +40,69 @@
 #include "core/Condition.h"
 #include "core/PairQueue.h"
 
+#include <condition_variable>
 #include <cstdint>
 #include <limits>
+#include <mutex>
 
 namespace oppsla {
+
+/// Exact score memo for sketch runs on one image.
+///
+/// Every sketch query on image x is x itself or x[l <- p] with p a corner,
+/// so a key names it exactly: the PairId of (l, p), or PairSpace::size()
+/// for x. A forward is a pure function of its image, so a hit returns the
+/// bytes the forward would have. The memo holds one row slot per key and
+/// appends a score row the first time a key is forwarded, so its memory
+/// grows with distinct queries.
+///
+/// One mutex guards the memo, so concurrent runs on the image may share
+/// it. When two runs miss the same key at once, the second waits for the
+/// first's row rather than forwarding the image again.
+class SketchMemo {
+public:
+  /// A memo for sketch runs on \p X, which it copies: Sketch::run checks
+  /// its image against the copy byte for byte, once per run.
+  explicit SketchMemo(const Image &X);
+
+  const Image &image() const { return X; }
+
+  /// Puts key \p Key's scores in \p Out. Returns true on a hit. On a miss
+  /// calls \p Forward, returns false, and keeps its result unless it is
+  /// empty (a spent budget forwards nothing).
+  template <typename ForwardFn>
+  bool lookup(uint32_t Key, std::vector<float> &Out, ForwardFn &&Forward) {
+    if (acquire(Key, Out))
+      return true;
+    try {
+      Out = Forward();
+    } catch (...) {
+      publish(Key, {});
+      throw;
+    }
+    publish(Key, Out);
+    return false;
+  }
+
+private:
+  static constexpr uint32_t Empty = std::numeric_limits<uint32_t>::max();
+  static constexpr uint32_t Pending = Empty - 1;
+
+  /// Copies \p Key's row into \p Out and returns true, or reserves the key
+  /// for the caller to forward and returns false. Waits while another
+  /// caller holds the reservation.
+  bool acquire(uint32_t Key, std::vector<float> &Out);
+  /// Stores \p Scores as \p Key's row and wakes the waiters; an empty
+  /// \p Scores releases the reservation instead.
+  void publish(uint32_t Key, const std::vector<float> &Scores);
+
+  const Image X;
+  std::mutex Mu;
+  std::condition_variable Published;
+  std::vector<uint32_t> Slots; ///< per key: a row index, Empty or Pending
+  std::vector<float> Rows;     ///< RowWidth floats per forwarded key
+  size_t RowWidth = 0;         ///< set by the first row
+};
 
 /// Outcome of one sketch run on one image.
 struct SketchResult {
@@ -67,9 +130,13 @@ public:
   const Program &program() const { return Prog; }
 
   /// Attacks image \p X whose true class is \p TrueClass, querying \p N at
-  /// most \p QueryBudget times.
+  /// most \p QueryBudget times. With a \p Memo built for \p X, a query the
+  /// memo holds is answered without a forward but counted, budgeted and
+  /// traced like any other, so the result does not depend on the memo.
+  /// Attacks pass none: one run asks each query at most once.
   SketchResult run(Classifier &N, const Image &X, size_t TrueClass,
-                   uint64_t QueryBudget = Unlimited) const;
+                   uint64_t QueryBudget = Unlimited,
+                   SketchMemo *Memo = nullptr) const;
 
 private:
   Program Prog;

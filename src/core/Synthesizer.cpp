@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <deque>
 #include <functional>
 #include <memory>
 
@@ -37,6 +38,18 @@ struct ImageOutcome {
   bool Counted = false; ///< successful and not already misclassified
 };
 
+/// One exact memo per training image (core/Sketch.h). Every scorer of one
+/// synthesis shares them, so each (training image, pixel, corner) query is
+/// forwarded once however many candidates and islands ask it.
+using TrainingMemos = std::deque<SketchMemo>;
+
+TrainingMemos trainingMemos(const Dataset &TrainSet) {
+  TrainingMemos Memos;
+  for (const Image &X : TrainSet.Images)
+    Memos.emplace_back(X);
+  return Memos;
+}
+
 /// Scores candidate programs on a classifier: over a pool of workers when
 /// it has two or more and the classifier can be cloned (worker slot 0 on
 /// the classifier itself, the others on clones), serially otherwise. An MH
@@ -44,8 +57,9 @@ struct ImageOutcome {
 /// once per chain, not once per candidate.
 class Scorer {
 public:
-  Scorer(Classifier &N, size_t Threads, size_t NumImages)
-      : N(N), Clones(workerClones(N, std::min(Threads, NumImages))) {
+  Scorer(Classifier &N, size_t Threads, TrainingMemos &Memos)
+      : N(N), Memos(Memos),
+        Clones(workerClones(N, std::min(Threads, Memos.size()))) {
     if (!Clones.empty())
       Pool = std::make_unique<ThreadPool>(Clones.size() + 1);
   }
@@ -56,12 +70,14 @@ public:
   ProgramEval evaluate(const Program &P, const Dataset &TrainSet,
                        uint64_t PerImageCap) {
     assert(TrainSet.size() > 0 && "empty training set");
+    assert(TrainSet.size() == Memos.size() && "one memo per training image");
     telemetry::ProfileScope Span("synth.score");
     std::vector<ImageOutcome> Out(TrainSet.size());
     const Sketch Sk(P);
     auto RunOne = [&](Classifier &NN, size_t I) {
-      const SketchResult R =
-          Sk.run(NN, TrainSet.Images[I], TrainSet.Labels[I], PerImageCap);
+      const SketchResult R = Sk.run(NN, TrainSet.Images[I],
+                                    TrainSet.Labels[I], PerImageCap,
+                                    &Memos[I]);
       Out[I].Queries = R.Queries;
       Out[I].Counted = R.Success && !R.AlreadyMisclassified;
     };
@@ -90,6 +106,7 @@ public:
 
 private:
   Classifier &N;
+  TrainingMemos &Memos;
   std::vector<std::unique_ptr<Classifier>> Clones;
   std::unique_ptr<ThreadPool> Pool; ///< null: score serially on N
 };
@@ -177,7 +194,8 @@ void runIslandRound(IslandState &S, Scorer &Sc, const MutationContext &Ctx,
 ProgramEval oppsla::evaluateProgram(const Program &P, Classifier &N,
                                     const Dataset &TrainSet,
                                     uint64_t PerImageCap, size_t Threads) {
-  return Scorer(N, Threads, TrainSet.size()).evaluate(P, TrainSet, PerImageCap);
+  TrainingMemos Memos = trainingMemos(TrainSet);
+  return Scorer(N, Threads, Memos).evaluate(P, TrainSet, PerImageCap);
 }
 
 Program oppsla::synthesizeProgram(Classifier &N, const Dataset &TrainSet,
@@ -222,14 +240,16 @@ Program oppsla::synthesizeProgram(Classifier &N, const Dataset &TrainSet,
   // classifier that cannot be cloned runs every island serially on N —
   // same chains, same result, no parallelism. Each slot scores on
   // Threads / N workers: a lone island scores each candidate in parallel,
-  // N > 1 islands score serially until Threads >= 2N.
+  // N > 1 islands score serially until Threads >= 2N. All slots share
+  // one set of training memos.
+  TrainingMemos Memos = trainingMemos(TrainSet);
   const std::vector<std::unique_ptr<Classifier>> Clones =
       workerClones(N, std::min(Config.Threads, NumIslands));
   std::vector<Scorer> Scorers;
   Scorers.reserve(Clones.size() + 1);
-  Scorers.emplace_back(N, Config.Threads / NumIslands, TrainSet.size());
+  Scorers.emplace_back(N, Config.Threads / NumIslands, Memos);
   for (const std::unique_ptr<Classifier> &C : Clones)
-    Scorers.emplace_back(*C, Config.Threads / NumIslands, TrainSet.size());
+    Scorers.emplace_back(*C, Config.Threads / NumIslands, Memos);
   std::unique_ptr<ThreadPool> Pool;
   if (!Clones.empty())
     Pool = std::make_unique<ThreadPool>(Scorers.size());
@@ -390,7 +410,8 @@ Program oppsla::randomSearchProgram(Classifier &N, const Dataset &TrainSet,
   Ctx.ImageSide =
       TrainSet.size() > 0 ? TrainSet.Images.front().height() : 32;
 
-  Scorer Sc(N, Threads, TrainSet.size());
+  TrainingMemos Memos = trainingMemos(TrainSet);
+  Scorer Sc(N, Threads, Memos);
 
   Program Best;
   double BestAvg = 0.0;

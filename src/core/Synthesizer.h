@@ -13,6 +13,10 @@
 ///   S(P) = exp(-beta * avgQueries(P))
 ///
 /// A mutated candidate P' replaces P with probability min(1, S(P')/S(P)).
+/// Every run on a training image goes through that image's SketchMemo,
+/// shared by all candidates and islands of one call, so a call forwards
+/// each distinct (image, pixel, corner) query once; queries are still
+/// counted one by one, so the memo never changes a result.
 /// The synthesizer optionally records a trace of the best program so far
 /// with cumulative query counts — the raw series behind the paper's
 /// Figure 4.

@@ -26,6 +26,12 @@ void Image::clamp() {
     V = std::clamp(V, 0.0f, 1.0f);
 }
 
+bool Image::sameBytes(const Image &Other) const {
+  return H == Other.H && W == Other.W &&
+         std::memcmp(Data.data(), Other.Data.data(),
+                     Data.size() * sizeof(float)) == 0;
+}
+
 uint64_t Image::contentHash() const {
   // FNV-1a over the float bit patterns, with the dimensions folded in so
   // differently-shaped images of identical bytes hash apart. Byte-exact on

@@ -101,6 +101,10 @@ public:
   /// ordered or subset within a sweep.
   uint64_t contentHash() const;
 
+  /// True when \p Other has this image's shape and pixel bytes. Bytes, not
+  /// float ==, so -0.0f and NaN payloads compare the way they hash.
+  bool sameBytes(const Image &Other) const;
+
 private:
   const float *at(size_t Row, size_t Col) const {
     assert(Row < H && Col < W && "pixel out of range");

@@ -11,7 +11,6 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 #include <unordered_map>
 
@@ -43,12 +42,6 @@ telemetry::Histogram &batchSizeHist() {
   static telemetry::Histogram &H = telemetry::histogram(
       "engine.batch.size", telemetry::exponentialBuckets(1.0, 2.0, 12));
   return H;
-}
-
-bool sameBytes(const Image &A, const Image &B) {
-  return A.height() == B.height() && A.width() == B.width() &&
-         std::memcmp(A.raw().data(), B.raw().data(),
-                     A.raw().size() * sizeof(float)) == 0;
 }
 
 } // namespace
@@ -97,7 +90,7 @@ void QueryEngine::prefetch(std::span<const Image> Imgs) {
       continue;
     bool Aliased = false;
     for (size_t Rep : Reps[Hash])
-      if (sameBytes(Imgs[Rep], Imgs[I])) {
+      if (Imgs[Rep].sameBytes(Imgs[I])) {
         Aliased = true;
         break;
       }

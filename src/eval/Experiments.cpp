@@ -6,7 +6,6 @@
 
 #include "eval/Experiments.h"
 
-#include "engine/QueryEngine.h"
 #include "eval/ProgramStore.h"
 #include "support/Logging.h"
 
@@ -174,18 +173,12 @@ Program oppsla::synthesizeClassProgram(NNClassifier &Victim,
             << Label << " (" << Train.size() << " train images, "
             << Config.MaxIter << " iters, " << Config.Islands
             << " island(s))";
-  // Candidate scoring goes through a batching, memoizing engine whose
-  // cache is shared across the island clones: re-probes of the same
-  // training images across candidates (and islands) hit instead of
-  // re-running forwards. The engine-invariance contract keeps the
-  // synthesized program byte-identical to the unwrapped run, so the store
-  // key need not mention the engine at all.
-  QueryEngineConfig EngineConfig;
-  EngineConfig.ShareCacheOnClone = true;
-  QueryEngine Engine(Victim, EngineConfig);
+  // Candidates are scored on the bare victim: synthesizeProgram's
+  // per-image memos already answer every repeated query exactly, so an
+  // engine here would only add its hashing, image copies and prefetch.
   std::vector<IslandElite> Elites;
   const Program P =
-      synthesizeProgram(Engine, Train, Config, /*Trace=*/nullptr, &Elites);
+      synthesizeProgram(Victim, Train, Config, /*Trace=*/nullptr, &Elites);
 
   if (Opts.UseStore) {
     // Entry 0 is the program this run returned; its stats come from the

@@ -84,9 +84,9 @@ SynthesisConfig classSynthesisConfig(const BenchScale &Scale, size_t Label,
 /// rehydrates it from the program store, where the winning elites of a
 /// previous run are kept under a key covering everything the result is a
 /// function of (DSL version, victim stem, class, synthesis config).
-/// Candidate scoring is routed through a batched, cache-sharing
-/// QueryEngine around \p Victim; by the engine-invariance contract this
-/// never changes a result byte, only the physical forward count.
+/// Candidates are scored on \p Victim itself, through synthesizeProgram's
+/// per-image sketch memos, which change the forward count but never a
+/// result byte.
 Program synthesizeClassProgram(NNClassifier &Victim,
                                const std::string &VictimStem, TaskKind Task,
                                const BenchScale &Scale, size_t Label,

@@ -11,18 +11,30 @@
 # misclassified already makes every run return the fixed program, which
 # no threading bug can change. Any run that logs "synthesis saw no
 # successful training attack" therefore fails the test.
+#
+# The 4-thread search also writes its JSONL trace and metrics: most of
+# its queries are answered by the training-image memos, and each must
+# still emit one `query` event, so the trace holds exactly synth.queries
+# of them.
 # Inputs: CLI, WORK_DIR.
 file(MAKE_DIRECTORY ${WORK_DIR})
 set(COMMON synthesize --scale smoke --class 1 --synth-islands 4
   --exchange-interval 2)
 set(NO_SEARCH "synthesis saw no successful training attack")
+set(TRACE ${WORK_DIR}/trace_t4.jsonl)
+set(METRICS ${WORK_DIR}/metrics_t4.json)
+file(REMOVE ${TRACE} ${METRICS})
 
 # Live search at two thread counts.
 foreach(T 4 1)
+  set(TELEMETRY)
+  if(T EQUAL 4)
+    set(TELEMETRY --trace-out ${TRACE} --metrics-out ${METRICS})
+  endif()
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E env OPPSLA_CACHE_DIR=${WORK_DIR}/cache
       ${CLI} ${COMMON} --threads ${T} --no-program-store
-      --out ${WORK_DIR}/prog_t${T}.txt
+      --out ${WORK_DIR}/prog_t${T}.txt ${TELEMETRY}
     OUTPUT_VARIABLE OUT
     ERROR_VARIABLE ERR
     RESULT_VARIABLE RC)
@@ -46,6 +58,18 @@ if(NOT DIFF EQUAL 0)
     "island synthesis diverged across thread counts; the program must be "
     "a pure function of (seed, islands, exchange interval) (compare "
     "${WORK_DIR}/prog_t4.txt with ${WORK_DIR}/prog_t1.txt)")
+endif()
+
+# Trace parity: one `query` event per counted synthesis query.
+file(STRINGS ${TRACE} QUERY_EVENTS REGEX "\"type\":\"query\"")
+list(LENGTH QUERY_EVENTS NUM_QUERY_EVENTS)
+file(READ ${METRICS} MJSON)
+string(JSON SYNTH_QUERIES GET "${MJSON}" counters synth.queries)
+if(NUM_QUERY_EVENTS EQUAL 0 OR
+   NOT NUM_QUERY_EVENTS EQUAL SYNTH_QUERIES)
+  message(FATAL_ERROR
+    "the trace holds ${NUM_QUERY_EVENTS} query events but synth.queries is "
+    "${SYNTH_QUERIES} (see ${TRACE} and ${METRICS})")
 endif()
 
 # Store-backed pair: a cold run persists the portfolio, the warm rerun

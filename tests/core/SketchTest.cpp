@@ -20,7 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <stdexcept>
 
 using namespace oppsla;
 using namespace oppsla::test;
@@ -275,6 +277,15 @@ TEST(Sketch, PaperExampleProgramIsExhaustiveAndTerminates) {
   EXPECT_EQ(R.Queries, 6u * 6u * 8u + 1u);
 }
 
+TEST(Sketch, RejectsAMemoOfAnotherImage) {
+  const Image X = randomImage(4, 4, 37);
+  SketchMemo Memo(randomImage(4, 4, 41));
+  FakeClassifier N = robustClassifier();
+  EXPECT_THROW(Sketch(allFalseProgram()).run(N, X, 0, 10, &Memo),
+               std::invalid_argument);
+  EXPECT_EQ(N.calls(), 0u);
+}
+
 class SketchBudgetSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SketchBudgetSweep, QueriesNeverExceedBudget) {
@@ -288,6 +299,40 @@ TEST_P(SketchBudgetSweep, QueriesNeverExceedBudget) {
   if (Budget <= 4u * 4u * 8u) {
     EXPECT_TRUE(R.BudgetExhausted);
   }
+}
+
+TEST_P(SketchBudgetSweep, WarmMemoLeavesResultUnchanged) {
+  // A memo that a different program already filled answers every query,
+  // so the run forwards nothing and any budget up to the pair count runs
+  // out on a hit. Hits are claimed like forwards, so the result must be
+  // the memo-less one, down to the pair the budget stopped at. The scores
+  // move with the image, so the score_diff conditions branch.
+  const Image X = randomImage(4, 4, 31);
+  auto Scores = [](const Image &Img) {
+    float Sum = 0.0f;
+    for (size_t I = 0; I != Img.raw().size(); ++I)
+      Sum += Img.raw()[I] * static_cast<float>(I % 7 + 1);
+    const float T = Sum - std::floor(Sum);
+    return std::vector<float>{0.9f - 0.4f * T, 0.05f + 0.2f * T,
+                              0.05f + 0.2f * T};
+  };
+  const uint64_t Budget = GetParam();
+  const Sketch Sk(paperExampleProgram());
+  FakeClassifier Plain(3, Scores);
+  const SketchResult Want = Sk.run(Plain, X, 0, Budget);
+
+  FakeClassifier N(3, Scores);
+  SketchMemo Memo(X);
+  Sketch(allFalseProgram()).run(N, X, 0, Sketch::Unlimited, &Memo);
+  ASSERT_EQ(N.calls(), 4u * 4u * 8u + 1u);
+
+  const SketchResult Got = Sk.run(N, X, 0, Budget, &Memo);
+  EXPECT_EQ(N.calls(), 4u * 4u * 8u + 1u) << "every query must be a hit";
+  EXPECT_EQ(Got.Success, Want.Success);
+  EXPECT_EQ(Got.Adversarial, Want.Adversarial);
+  EXPECT_EQ(Got.Queries, Want.Queries);
+  EXPECT_EQ(Got.BudgetExhausted, Want.BudgetExhausted);
+  EXPECT_EQ(Got.AlreadyMisclassified, Want.AlreadyMisclassified);
 }
 
 INSTANTIATE_TEST_SUITE_P(Budgets, SketchBudgetSweep,

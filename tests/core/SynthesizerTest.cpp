@@ -6,12 +6,16 @@
 
 #include "core/Synthesizer.h"
 #include "eval/ProgramStore.h"
+#include "support/Metrics.h"
 
 #include "../TestUtil.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
 
 using namespace oppsla;
 using namespace oppsla::test;
@@ -316,6 +320,76 @@ TEST(IslandSynthesis, SingleIslandKeepsLegacyChain) {
     for (size_t I = 0; I != T.size(); ++I)
       EXPECT_EQ(T[I].CumulativeQueries, Cumulative[I]) << "step " << I;
   }
+}
+
+namespace {
+
+/// Forwards of a CountingClassifier and its clones, per image.
+struct ForwardLog {
+  std::mutex Mu;
+  std::map<std::vector<float>, size_t> PerImage; ///< pixel bytes -> count
+};
+
+/// Logs every forward of \p Inner, and of its clones, into one shared
+/// ForwardLog.
+class CountingClassifier : public Classifier {
+public:
+  CountingClassifier(std::unique_ptr<Classifier> Inner,
+                     std::shared_ptr<ForwardLog> Log)
+      : Inner(std::move(Inner)), Log(std::move(Log)) {}
+
+  std::vector<float> scores(const Image &Img) override {
+    {
+      std::lock_guard<std::mutex> Lock(Log->Mu);
+      ++Log->PerImage[Img.raw()];
+    }
+    return Inner->scores(Img);
+  }
+  size_t numClasses() const override { return Inner->numClasses(); }
+  std::unique_ptr<Classifier> clone() const override {
+    return std::make_unique<CountingClassifier>(Inner->clone(), Log);
+  }
+
+private:
+  std::unique_ptr<Classifier> Inner;
+  std::shared_ptr<ForwardLog> Log;
+};
+
+} // namespace
+
+TEST(IslandSynthesis, MemoForwardsNoImageTwice) {
+  // Every island shares one memo per training image, so no image is
+  // forwarded twice, not even with two islands scoring the same images
+  // at once. The memo saves forwards, not queries: synth.queries is the
+  // count the memo-less synthesizer posed.
+  const Dataset Train = tinyTrainSet(3, 4);
+  SynthesisConfig Config;
+  Config.MaxIter = 10;
+  Config.PerImageQueryCap = 128;
+  Config.Seed = 17;
+  Config.Islands = 4;
+  Config.ExchangeInterval = 3;
+  Config.Threads = 2;
+
+  auto Log = std::make_shared<ForwardLog>();
+  CountingClassifier N(
+      std::make_unique<FakeClassifier>(offCenterVulnerable(2, 1)), Log);
+  telemetry::Counter &SynthQueries = telemetry::counter("synth.queries");
+  const uint64_t Before = SynthQueries.value();
+  std::vector<SynthesisStep> Trace;
+  synthesizeProgram(N, Train, Config, &Trace);
+  const uint64_t Queries = SynthQueries.value() - Before;
+
+  // Recorded from the synthesizer before it had memos, when every query
+  // was a forward.
+  EXPECT_EQ(Queries, 5262u);
+  EXPECT_EQ(Trace.back().CumulativeQueries, Queries);
+  size_t Forwards = 0;
+  for (const auto &[Bytes, Count] : Log->PerImage) {
+    EXPECT_EQ(Count, 1u) << "an image was forwarded " << Count << " times";
+    Forwards += Count;
+  }
+  EXPECT_LT(Forwards, Queries);
 }
 
 TEST(RandomSearchProgram, ReturnsBestOfSamples) {
