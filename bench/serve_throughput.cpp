@@ -46,6 +46,10 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
+/// Queue depth of the throughput runs. A pass submits all its jobs before
+/// it waits for any, so this bounds the jobs per pass.
+constexpr size_t QueueCapacity = 256;
+
 /// One tiny attack job: 2 images of the shared seed-1 victim, so every
 /// job after the first reuses the pooled classifier and score cache and
 /// the bench measures serving overhead, not victim training.
@@ -121,7 +125,7 @@ struct ThroughputResult {
 ThroughputResult runThroughput(bool Tracing, size_t NumJobs,
                                const std::string &CheckpointDir) {
   serve::setJobTracingEnabled(Tracing);
-  serve::JobQueue Queue(256);
+  serve::JobQueue Queue(QueueCapacity);
   serve::JobRunnerConfig RC;
   RC.Workers = 2;
   RC.Threads = 1;
@@ -185,8 +189,12 @@ int main(int argc, char **argv) {
     return 1;
   const BenchScale Scale = BenchScale::fromEnv();
   // Enough jobs that one run's wall clock dwarfs scheduler jitter — the
-  // traced/untraced comparison divides two of these.
-  const size_t NumJobs = Scale.Name == "smoke"   ? 64
+  // traced/untraced comparison divides two of these. Two workers finish
+  // a smoke job about every 0.15 ms, so smoke fills the whole queue: a
+  // pass then lasts 30-50 ms against the 2 ms status poll. (Each job
+  // leaves two loopback connections in TIME_WAIT; at 1024 jobs per pass,
+  // back-to-back runs read as slow as 1000 jobs/s.)
+  const size_t NumJobs = Scale.Name == "smoke"   ? QueueCapacity
                          : Scale.Name == "paper" ? 128
                                                  : 96;
 

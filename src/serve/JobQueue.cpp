@@ -164,14 +164,14 @@ telemetry::Histogram &queueWaitHistogram() {
 
 /// Builds the job's timeline when tracing is on: adopt the traceparent the
 /// spec carries (client-minted or checkpoint-round-tripped), else mint.
-std::shared_ptr<JobTrace> makeJobTrace(uint64_t Id, JobSpec &Spec) {
+std::unique_ptr<JobTrace> makeJobTrace(uint64_t Id, JobSpec &Spec) {
   if (!jobTracingEnabled())
     return nullptr;
   telemetry::TraceContext Ctx;
   if (!telemetry::parseTraceparent(Spec.TraceParent, Ctx))
     Ctx = telemetry::mintTraceContext();
   Spec.TraceParent = Ctx.traceparent();
-  return std::make_shared<JobTrace>(Id, std::move(Ctx));
+  return std::make_unique<JobTrace>(Id, std::move(Ctx));
 }
 
 } // namespace

@@ -59,19 +59,21 @@ const char *jobStateName(JobState S);
 /// the dataset slice ([Begin, Begin+Count), Count 0 = to the end).
 struct JobSpec {
   JobKind Kind = JobKind::Eval;
+  int Priority = 0;                     ///< higher pops first
   std::string AttackName = "sparse-rs"; ///< Attack jobs only
   std::string TaskName = "cifar";
   std::string ArchName = "resnet";
   std::string ScaleName = "smoke";
   uint64_t Seed = 1;
   uint64_t Budget = 0; ///< queries per image; 0 = the scale's EvalQueryCap
-  int Priority = 0;    ///< higher pops first
   uint64_t Begin = 0;  ///< dataset slice start
   uint64_t Count = 0;  ///< slice length; 0 = everything from Begin
 
   /// W3C traceparent from the submitting client ("" = server mints one).
   /// Pure observability: never rendered into jobSpecJson(), so result
   /// artifacts embedding the spec stay byte-identical across trace ids.
+  /// The runner clears it when the job finishes; the job's JobTrace keeps
+  /// the trace id.
   std::string TraceParent;
 };
 
@@ -92,7 +94,8 @@ std::string jobSpecJson(const JobSpec &Spec);
 std::string jobSpecJsonWithTrace(const JobSpec &Spec);
 
 /// One admitted job. Progress fields are atomics (the HTTP thread reads
-/// them while a runner worker writes); Runs/Error take the mutex.
+/// them while a runner worker writes); Runs/Error take the mutex. A Done
+/// job's result artifact is jobResultPath(<checkpoint dir>, Id).
 struct Job {
   uint64_t Id = 0;
   JobSpec Spec;
@@ -103,14 +106,13 @@ struct Job {
 
   std::mutex Mu;             ///< guards Error and Runs
   std::string Error;         ///< set when State == Failed
-  std::vector<WireRun> Runs; ///< completed runs (preloaded on resume)
+  std::vector<WireRun> Runs; ///< completed runs (preloaded on resume);
+                             ///< released when the job finishes
 
-  std::string ResultPath; ///< set before State becomes Done
-
-  /// Phase timeline + trace context; null when job tracing is disabled.
+  /// Phase timeline + trace id; null when job tracing is disabled.
   /// Created at admission (create/adopt) and immutable afterwards, so
   /// readers need no lock for the pointer itself.
-  std::shared_ptr<JobTrace> Trace;
+  std::unique_ptr<JobTrace> Trace;
   /// Open "queued" phase token (0 = none); set by enqueue, closed by
   /// pop()/cancel().
   std::atomic<uint64_t> QueuedToken{0};

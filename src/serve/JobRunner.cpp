@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <set>
 #include <stdexcept>
 
@@ -77,16 +78,6 @@ std::unique_ptr<Attack> makeBaselineAttack(const std::string &Name) {
   if (Name == "random")
     return std::make_unique<RandomPairSearch>();
   return nullptr;
-}
-
-/// The per-job progress gauges /metrics exposes
-/// (serve.job.<id>.done/.total).
-void setJobGauges(const Job &J) {
-  const std::string Stem = "serve.job." + std::to_string(J.Id);
-  telemetry::gauge(Stem + ".done")
-      .set(static_cast<double>(J.Done.load(std::memory_order_relaxed)));
-  telemetry::gauge(Stem + ".total")
-      .set(static_cast<double>(J.Total.load(std::memory_order_relaxed)));
 }
 
 WireRun toWireRun(size_t Index, const AttackRunLog &Log) {
@@ -156,9 +147,48 @@ JobRunner::VictimEntry &JobRunner::victimEntry(const JobSpec &S) {
     QueryEngineConfig EC = Config.Engine;
     EC.ShareCacheOnClone = true;
     E->Engine = std::make_unique<QueryEngine>(*E->Victim, EC);
+    E->Test = makeTestSet(Task, Scale, S.Seed);
   }
   return *E;
 }
+
+/// One sweep job's hold on a clone of its victim's master engine: an idle
+/// clone when there is one, a fresh clone otherwise (cloning reads the
+/// master's parameters, which moves the process-wide parameter generation
+/// and makes every other model repack). The clone goes back to the idle
+/// pool when the lease ends, unless an exception ends it: a forward that
+/// threw can leave a half-captured delta reference, so that engine is
+/// dropped.
+class JobRunner::EngineLease {
+public:
+  explicit EngineLease(VictimEntry &E) : E(E) {
+    {
+      std::lock_guard<std::mutex> Lock(E.IdleMu);
+      if (!E.Idle.empty()) {
+        Engine = std::move(E.Idle.back());
+        E.Idle.pop_back();
+        return;
+      }
+    }
+    std::lock_guard<std::mutex> Lock(E.Mu);
+    Engine = E.Engine->clone();
+  }
+  ~EngineLease() {
+    if (!Engine || std::uncaught_exceptions() != Unwinding)
+      return;
+    std::lock_guard<std::mutex> Lock(E.IdleMu);
+    E.Idle.push_back(std::move(Engine));
+  }
+  Classifier *get() const { return Engine.get(); }
+
+  EngineLease(const EngineLease &) = delete;
+  EngineLease &operator=(const EngineLease &) = delete;
+
+private:
+  VictimEntry &E;
+  std::unique_ptr<Classifier> Engine;
+  const int Unwinding = std::uncaught_exceptions();
+};
 
 Program JobRunner::classProgram(VictimEntry &E, const JobSpec &S,
                                 size_t Label) {
@@ -219,7 +249,7 @@ void JobRunner::runJob(const std::shared_ptr<Job> &J) {
   // JSONL trace events and log-ring records carry the trace id, profiler
   // spans re-root under "job.<id>" instead of process-global.
   telemetry::TraceContextScope TraceScope(
-      T ? T->context().TraceId : std::string());
+      T ? T->traceId() : std::string());
   telemetry::ProfileTaskScope TaskScope(
       telemetry::profilingEnabled()
           ? telemetry::internProfileName("job." + std::to_string(J->Id))
@@ -241,10 +271,16 @@ void JobRunner::runJob(const std::shared_ptr<Job> &J) {
 
   auto Finish = [&](JobState Final, const std::string &Error,
                     int64_t Shard = -1) {
-    if (Final == JobState::Failed) {
+    {
+      // A finished job keeps only what its status, result and trace
+      // endpoints read; the result artifact holds the runs.
       std::lock_guard<std::mutex> Lock(J->Mu);
-      J->Error = Error;
+      if (Final == JobState::Failed)
+        J->Error = Error;
+      std::vector<WireRun>().swap(J->Runs);
     }
+    // Only checkpoints read the traceparent; the JobTrace keeps the id.
+    std::string().swap(J->Spec.TraceParent);
     J->State.store(Final, std::memory_order_relaxed);
     switch (Final) {
     case JobState::Done:
@@ -277,7 +313,6 @@ void JobRunner::runJob(const std::shared_ptr<Job> &J) {
   try {
     const JobSpec &S = J->Spec;
     const BenchScale Scale = BenchScale::preset(S.ScaleName);
-    const TaskKind Task = taskOfSpec(S);
     const uint64_t Budget = S.Budget ? S.Budget : Scale.EvalQueryCap;
     const std::string ResultPath =
         jobResultPath(Config.CheckpointDir, J->Id);
@@ -289,10 +324,9 @@ void JobRunner::runJob(const std::shared_ptr<Job> &J) {
     if (S.Kind == JobKind::Synth) {
       // One class at a time: each class either rehydrates from the
       // program store or fans its islands out, and Done ticks per class
-      // so /metrics shows live synthesis progress. No mid-job
+      // so the job status shows live synthesis progress. No mid-job
       // checkpointing — the store itself is the durable state.
       J->Total.store(Scale.NumClasses, std::memory_order_relaxed);
-      setJobGauges(*J);
       if (T) {
         T->endPhase(SetupTok);
         TailTok = T->beginPhase("synth");
@@ -304,7 +338,6 @@ void JobRunner::runJob(const std::shared_ptr<Job> &J) {
                         static_cast<int64_t>(Label));
         Programs.push_back(classProgram(E, S, Label));
         J->Done.fetch_add(1, std::memory_order_relaxed);
-        setJobGauges(*J);
       }
       WireBuilder B;
       B.addJobSpecJson(jobSpecJson(S));
@@ -314,13 +347,11 @@ void JobRunner::runJob(const std::shared_ptr<Job> &J) {
       if (!writeFileAtomic(ResultPath, B.finish(), Error))
         return Finish(JobState::Failed, Error);
       J->Done.store(Scale.NumClasses, std::memory_order_relaxed);
-      setJobGauges(*J);
-      J->ResultPath = ResultPath;
       return Finish(JobState::Done, "");
     }
 
-    // Sweep jobs: materialize the dataset slice.
-    const Dataset Test = makeTestSet(Task, Scale, S.Seed);
+    // Sweep jobs: slice the victim's test set.
+    const Dataset &Test = E.Test;
     const size_t Begin = std::min<size_t>(S.Begin, Test.size());
     const size_t End =
         S.Count ? std::min<size_t>(Begin + S.Count, Test.size())
@@ -345,14 +376,11 @@ void JobRunner::runJob(const std::shared_ptr<Job> &J) {
                       "unknown attack '" + S.AttackName + "'");
     }
 
-    // The job's engine: a clone of the victim's master engine, sharing
-    // its ScoreCache with every other job on this victim. The sweep
-    // harness clones it again per worker; those clones share too.
-    std::unique_ptr<Classifier> Cls;
-    {
-      std::lock_guard<std::mutex> Lock(E.Mu);
-      Cls = E.Engine->clone();
-    }
+    // The job's engine: a leased clone of the victim's master engine,
+    // sharing its ScoreCache with every other job on this victim. The
+    // sweep harness clones it again per worker; those clones share too.
+    const EngineLease Lease(E);
+    Classifier *Cls = Lease.get();
     if (!Cls)
       return Finish(JobState::Failed, "victim classifier not cloneable");
 
@@ -364,7 +392,6 @@ void JobRunner::runJob(const std::shared_ptr<Job> &J) {
         Have.insert(R.Index);
     }
     J->Done.store(Have.size(), std::memory_order_relaxed);
-    setJobGauges(*J);
     std::vector<size_t> Pending;
     for (size_t I = Begin; I != End; ++I)
       if (!Have.count(static_cast<uint32_t>(I)))
@@ -418,7 +445,6 @@ void JobRunner::runJob(const std::shared_ptr<Job> &J) {
           J->Runs.push_back(toWireRun(Pending[K], Logs[K - Off]));
       }
       J->Done.fetch_add(ShardEnd - Off, std::memory_order_relaxed);
-      setJobGauges(*J);
       checkpointJob(*J, static_cast<int64_t>(ShardIdx));
 
       if (Config.OnShardDone)
@@ -467,7 +493,7 @@ void JobRunner::runJob(const std::shared_ptr<Job> &J) {
     std::vector<WireRun> Runs;
     {
       std::lock_guard<std::mutex> Lock(J->Mu);
-      Runs = J->Runs;
+      Runs.swap(J->Runs);
     }
     std::sort(Runs.begin(), Runs.end(),
               [](const WireRun &A, const WireRun &B) {
@@ -481,7 +507,6 @@ void JobRunner::runJob(const std::shared_ptr<Job> &J) {
     if (!writeFileAtomic(ResultPath, B.finish(), Error))
       return Finish(JobState::Failed, Error);
     std::remove(CkptPath.c_str());
-    J->ResultPath = ResultPath;
     return Finish(JobState::Done, "");
   } catch (const std::exception &Ex) {
     return Finish(JobState::Failed, Ex.what());
@@ -490,14 +515,21 @@ void JobRunner::runJob(const std::shared_ptr<Job> &J) {
 
 void JobRunner::recordServiceSample(double Seconds) {
   std::lock_guard<std::mutex> Lock(ServiceMu);
-  ServiceSamples.push_back(Seconds);
+  if (ServiceSamples.size() < ServiceWindow)
+    ServiceSamples.push_back(Seconds);
+  else
+    ServiceSamples[ServiceCount % ServiceWindow] = Seconds;
+  ++ServiceCount;
 }
 
 double JobRunner::medianServiceSeconds() const {
-  std::lock_guard<std::mutex> Lock(ServiceMu);
-  if (ServiceSamples.empty())
+  std::vector<double> S;
+  {
+    std::lock_guard<std::mutex> Lock(ServiceMu);
+    S = ServiceSamples;
+  }
+  if (S.empty())
     return 0.0;
-  std::vector<double> S = ServiceSamples;
   const size_t Mid = S.size() / 2;
   std::nth_element(S.begin(), S.begin() + Mid, S.end());
   if (S.size() % 2 != 0)
@@ -527,7 +559,6 @@ size_t JobRunner::resume() {
           S.Kind == JobKind::Synth ? C.Programs.size() : C.Runs.size();
       J->Done.store(N, std::memory_order_relaxed);
       J->Total.store(N, std::memory_order_relaxed);
-      J->ResultPath = R.Path;
       J->State.store(JobState::Done, std::memory_order_relaxed);
       Queue.adopt(J);
       continue;

@@ -7,11 +7,14 @@
 /// \file
 /// Executes admitted jobs: worker threads pop from the JobQueue, split
 /// each job's dataset slice into shards, and drive the existing sweep
-/// harness (runAttackOverSet / runProgramsOverSet) through per-job
-/// QueryEngine instances. Engines cloned for the same victim share one
+/// harness (runAttackOverSet / runProgramsOverSet) through QueryEngine
+/// clones leased per job. Engines cloned for the same victim share one
 /// ScoreCache (QueryEngineConfig::ShareCacheOnClone), so concurrent jobs
 /// against the same classifier pool their forwards — the cache verifies
-/// image bytes on every hit, so results never change.
+/// image bytes on every hit, so results never change. A clone outlives
+/// its job: the next job on the victim leases it instead of cloning, and
+/// every job slices the victim's one test set, so a job's setup costs
+/// the same however many jobs ran before it.
 ///
 /// After every shard the job's spec + completed runs are checkpointed to
 /// disk (atomic write). A killed server restarted with resume() re-admits
@@ -98,9 +101,14 @@ public:
   /// Retry-After arithmetic.
   void recordServiceSample(double Seconds);
 
-  /// Median of the recorded service samples, or 0.0 when none exist yet.
-  /// The HTTP layer derives 429 Retry-After from this.
+  /// Median of the most recent ServiceWindow service samples, or 0.0
+  /// when none exist yet. The HTTP layer derives 429 Retry-After from
+  /// this.
   double medianServiceSeconds() const;
+
+  /// Service samples the Retry-After median covers: the most recent ones
+  /// only, so an overloaded server's 429s copy a bounded window.
+  static constexpr size_t ServiceWindow = 1024;
 
   const JobRunnerConfig &config() const { return Config; }
 
@@ -109,16 +117,24 @@ public:
 
 private:
   /// Per-victim shared state: the trained master classifier, the master
-  /// engine whose clones share one ScoreCache, and the synthesized
-  /// class programs (Eval/Synth jobs). Keyed by victim stem.
+  /// engine whose clones share one ScoreCache, the test set sweep jobs
+  /// slice, the clones no running job holds, and the synthesized class
+  /// programs (Eval/Synth jobs). Keyed by victim stem.
   struct VictimEntry {
     std::mutex Mu; ///< guards construction, synthesis, and master access
     std::unique_ptr<NNClassifier> Victim;
     std::unique_ptr<QueryEngine> Engine;
+    /// Built once with the victim; immutable afterwards.
+    Dataset Test;
     /// In-memory program cache, filled class by class (the durable copy
     /// lives in the program store).
     std::map<size_t, Program> ProgramByClass;
+    /// Engine clones between jobs: at most one per runner worker. A lease
+    /// takes one without waiting on a synthesis that holds Mu.
+    std::mutex IdleMu;
+    std::vector<std::unique_ptr<Classifier>> Idle;
   };
+  class EngineLease;
 
   void workerLoop();
   void runJob(const std::shared_ptr<Job> &J);
@@ -139,8 +155,11 @@ private:
   std::mutex PoolMu; ///< guards the Victims map (not the entries)
   std::map<std::string, std::unique_ptr<VictimEntry>> Victims;
 
-  mutable std::mutex ServiceMu; ///< guards ServiceSamples
+  mutable std::mutex ServiceMu; ///< guards ServiceSamples, ServiceCount
+  /// Ring of the most recent ServiceWindow samples; sample N lives in
+  /// slot N % ServiceWindow.
   std::vector<double> ServiceSamples;
+  uint64_t ServiceCount = 0; ///< samples ever recorded
 };
 
 } // namespace serve

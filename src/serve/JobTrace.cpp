@@ -21,6 +21,10 @@ namespace {
 
 std::atomic<bool> JobTracingFlag{true};
 
+/// Phases a one-shard sweep job records: queued, setup, shard,
+/// checkpoint, finalize and its terminal instant.
+constexpr size_t OneShardJobPhases = 6;
+
 uint64_t nowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -39,14 +43,14 @@ bool serve::jobTracingEnabled() {
 }
 
 JobTrace::JobTrace(uint64_t JobId, telemetry::TraceContext Ctx)
-    : JobId(JobId), Ctx(std::move(Ctx)), CreatedNs(nowNs()) {
-  Phases.reserve(16);
+    : JobId(JobId), TraceId(std::move(Ctx.TraceId)), CreatedNs(nowNs()) {
+  Phases.reserve(OneShardJobPhases);
 }
 
 uint64_t JobTrace::beginPhase(const char *Name, int64_t Shard) {
   const uint64_t StartNs = nowNs();
   std::lock_guard<std::mutex> Lock(Mu);
-  Phases.push_back({Name, StartNs, 0, Shard, false});
+  Phases.push_back({Name, StartNs, 0, static_cast<int32_t>(Shard), false});
   return Phases.size(); // index + 1, so 0 stays invalid
 }
 
@@ -65,7 +69,10 @@ uint64_t JobTrace::endPhase(uint64_t Token) {
 void JobTrace::instant(const char *Name, int64_t Shard) {
   const uint64_t TsNs = nowNs();
   std::lock_guard<std::mutex> Lock(Mu);
-  Phases.push_back({Name, TsNs, TsNs, Shard, true});
+  Phases.push_back({Name, TsNs, TsNs, static_cast<int32_t>(Shard), true});
+  // Instants mark the end of a job's timeline: keep exactly what it
+  // recorded for as long as the finished job stays fetchable.
+  Phases.shrink_to_fit();
 }
 
 std::string JobTrace::chromeTraceJson() const {
@@ -115,7 +122,7 @@ std::string JobTrace::chromeTraceJson() const {
       Out += ",\"s\":\"t\"";
     }
     Out += ",\"pid\":1,\"tid\":" + std::to_string(JobId) +
-           ",\"args\":{\"trace_id\":\"" + Ctx.TraceId + "\"";
+           ",\"args\":{\"trace_id\":\"" + TraceId + "\"";
     if (P.Shard >= 0)
       Out += ",\"shard\":" + std::to_string(P.Shard);
     if (P.EndNs == 0 && !P.Instant)

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The per-job causal timeline behind `GET /v1/jobs/<id>/trace`. Every
-/// admitted job (when job tracing is enabled) owns a JobTrace: the W3C
-/// trace context the client minted (or the server minted on its behalf)
-/// plus a list of timestamped phase spans recorded as the job crosses
+/// admitted job (when job tracing is enabled) owns a JobTrace: the trace
+/// id of the W3C context the client minted (or the server minted on its
+/// behalf) plus a list of timestamped phase spans recorded as the job crosses
 /// subsystem boundaries — queued, setup, shard[i], checkpoint, finalize —
 /// and terminal instants (done / cancelled / suspended / failed).
 ///
@@ -46,10 +46,12 @@ bool jobTracingEnabled();
 /// phases while the HTTP thread renders snapshots.
 class JobTrace {
 public:
+  /// Keeps the trace id of \p Ctx, the part of the context the timeline
+  /// renders and the job status reports.
   JobTrace(uint64_t JobId, telemetry::TraceContext Ctx);
 
   uint64_t jobId() const { return JobId; }
-  const telemetry::TraceContext &context() const { return Ctx; }
+  const std::string &traceId() const { return TraceId; }
 
   /// Opens a phase span named \p Name (a literal or interned string).
   /// \p Shard >= 0 tags shard-scoped phases with their shard index.
@@ -79,12 +81,12 @@ private:
     const char *Name;
     uint64_t StartNs;
     uint64_t EndNs; ///< 0 while open
-    int64_t Shard;  ///< -1 = not shard-scoped
+    int32_t Shard;  ///< -1 = not shard-scoped
     bool Instant;
   };
 
   const uint64_t JobId;
-  const telemetry::TraceContext Ctx;
+  const std::string TraceId;
   const uint64_t CreatedNs; ///< admission time; the timeline's origin
 
   mutable std::mutex Mu;

@@ -6,6 +6,7 @@
 
 #include "serve/ServeServer.h"
 
+#include "serve/Checkpoint.h"
 #include "serve/JobRunner.h"
 #include "support/Http.h"
 #include "support/Json.h"
@@ -83,7 +84,7 @@ std::string serve::jobStatusJson(Job &J) {
     Out += "\"";
   }
   if (J.Trace)
-    Out += ",\"trace_id\":\"" + J.Trace->context().TraceId + "\"";
+    Out += ",\"trace_id\":\"" + J.Trace->traceId() + "\"";
   Out += ",\"spec\":" + jobSpecJson(J.Spec) + "}";
   return Out;
 }
@@ -164,7 +165,7 @@ bool ServeServer::handle(int Client, const http::Request &Req) {
     std::string Out =
         "{\"id\":" + std::to_string(J->Id) + ",\"state\":\"queued\"";
     if (J->Trace)
-      Out += ",\"trace_id\":\"" + J->Trace->context().TraceId + "\"";
+      Out += ",\"trace_id\":\"" + J->Trace->traceId() + "\"";
     Out += "}";
     http::sendResponse(Client, 202, "application/json", Out);
     return true;
@@ -236,12 +237,14 @@ bool ServeServer::handle(int Client, const http::Request &Req) {
                     ", result not available"));
       return true;
     }
-    std::ifstream In(J->ResultPath, std::ios::binary);
+    const std::string Path =
+        jobResultPath(Runner.config().CheckpointDir, Id);
+    std::ifstream In(Path, std::ios::binary);
     std::ostringstream Buf;
     Buf << In.rdbuf();
     if (!In) {
       http::sendResponse(Client, 500, "application/json",
-                         errorJson("cannot read " + J->ResultPath));
+                         errorJson("cannot read " + Path));
       return true;
     }
     http::sendResponse(Client, 200, "application/octet-stream",

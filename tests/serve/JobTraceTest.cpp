@@ -60,7 +60,7 @@ TEST(JobTrace, PhaseSpansRenderAsCompleteEvents) {
   EXPECT_GE(E->getNumber("dur", -1.0), 1000.0) << "dur is microseconds";
   const json::Value *Args = E->find("args");
   ASSERT_NE(Args, nullptr);
-  EXPECT_EQ(Args->getString("trace_id", ""), T.context().TraceId);
+  EXPECT_EQ(Args->getString("trace_id", ""), T.traceId());
 }
 
 TEST(JobTrace, EndPhaseIsIdempotentAndRejectsBadTokens) {

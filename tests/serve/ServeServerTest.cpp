@@ -233,7 +233,7 @@ TEST_F(ServeServerTest, SubmitAdoptsClientTraceparent) {
       << St.Body;
   const auto J = Queue->find(1);
   ASSERT_TRUE(J && J->Trace);
-  EXPECT_EQ(J->Trace->context().TraceId,
+  EXPECT_EQ(J->Trace->traceId(),
             "0af7651916cd43dd8448eb211c80319c");
 }
 
@@ -241,8 +241,8 @@ TEST_F(ServeServerTest, SubmitWithoutTraceparentMintsOne) {
   ASSERT_EQ(roundTrip("POST", "/v1/jobs", "{}").Status, 202);
   const auto J = Queue->find(1);
   ASSERT_TRUE(J && J->Trace);
-  EXPECT_EQ(J->Trace->context().TraceId.size(), 32u);
-  EXPECT_NE(J->Trace->context().TraceId,
+  EXPECT_EQ(J->Trace->traceId().size(), 32u);
+  EXPECT_NE(J->Trace->traceId(),
             std::string(32, '0'));
 }
 
